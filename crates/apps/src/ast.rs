@@ -93,7 +93,8 @@ impl AstConfig {
         self.dump_bytes() * self.dumps as u64
     }
 
-    fn machine(&self) -> MachineConfig {
+    /// The machine this configuration runs on.
+    pub fn machine(&self) -> MachineConfig {
         crate::common::with_queue_depth(
             crate::common::with_cache_mb(
                 presets::paragon_large()

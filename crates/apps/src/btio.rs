@@ -125,7 +125,8 @@ impl BtioConfig {
         self.dump_bytes() * self.dumps as u64
     }
 
-    fn machine(&self) -> MachineConfig {
+    /// The machine this configuration runs on.
+    pub fn machine(&self) -> MachineConfig {
         crate::common::with_queue_depth(
             crate::common::with_cache_mb(
                 presets::sp2()

@@ -15,6 +15,7 @@ use iosim_simkit::time::SimDuration;
 use iosim_trace::{
     BalanceStats, CacheSnapshot, IoSummary, ListIoSnapshot, QueueSnapshot, TraceCollector,
 };
+use iosim_workload::RunStats;
 
 /// Everything one simulated process needs.
 pub struct AppCtx {
@@ -117,6 +118,35 @@ impl RunResult {
             self.sim_events as f64 / s
         } else {
             0.0
+        }
+    }
+}
+
+/// The workload engine's measurements are field-for-field a
+/// [`RunResult`]; converting keeps one report type for applications and
+/// trace replay alike.
+impl From<RunStats> for RunResult {
+    fn from(s: RunStats) -> RunResult {
+        RunResult {
+            procs: s.procs,
+            io_nodes: s.io_nodes,
+            exec_time: s.exec_time,
+            io_time: s.io_time,
+            cum_io_time: s.cum_io_time,
+            summary: s.summary,
+            io_bytes: s.io_bytes,
+            io_ops: s.io_ops,
+            read_sizes: s.read_sizes,
+            write_sizes: s.write_sizes,
+            balance: s.balance,
+            cache: s.cache,
+            listio: s.listio,
+            queue: s.queue,
+            sim_events: s.sim_events,
+            sched_fingerprint: s.sched_fingerprint,
+            sync_rounds: s.sync_rounds,
+            shard_mem: s.shard_mem,
+            host_elapsed: s.host_elapsed,
         }
     }
 }

@@ -86,7 +86,8 @@ impl FftConfig {
         6 * self.n * self.n * CPX
     }
 
-    fn machine(&self) -> MachineConfig {
+    /// The machine this configuration runs on.
+    pub fn machine(&self) -> MachineConfig {
         crate::common::with_queue_depth(
             crate::common::with_cache_mb(
                 presets::paragon_small()

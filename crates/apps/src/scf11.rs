@@ -180,18 +180,12 @@ pub struct Scf11Result {
     pub fg_io_time: SimDuration,
 }
 
-impl Scf11Result {
-    /// Wall-clock compute time estimate (exec − foreground I/O).
-    pub fn compute_time(&self) -> SimDuration {
-        self.run.exec_time.saturating_sub(self.fg_io_time)
-    }
-}
-
 const WRITE_CHUNK: u64 = 62 << 10;
 const EVAL_FRACTION: f64 = 0.30;
 const FLUSH_EVERY: u64 = 1000;
 
-fn machine(cfg: &Scf11Config) -> iosim_machine::MachineConfig {
+/// The machine SCF 1.1 runs on under `cfg`.
+pub fn machine(cfg: &Scf11Config) -> iosim_machine::MachineConfig {
     crate::common::with_queue_depth(
         crate::common::with_cache_mb(
             presets::paragon_large()

@@ -98,7 +98,8 @@ pub struct Scf30Result {
     pub balance_moved: u64,
 }
 
-fn machine(cfg: &Scf30Config) -> iosim_machine::MachineConfig {
+/// The machine SCF 3.0 runs on under `cfg`.
+pub fn machine(cfg: &Scf30Config) -> iosim_machine::MachineConfig {
     crate::common::with_queue_depth(
         crate::common::with_cache_mb(
             presets::paragon_large()

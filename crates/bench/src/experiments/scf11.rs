@@ -360,12 +360,7 @@ pub fn optimization_gains(scale: f64) -> (f64, f64) {
     )
 }
 
-/// Sanity: the default (paper) configuration for Tables 2–3.
-pub fn default_table_config() -> Scf11Config {
-    Scf11Config::new(ScfInput::Large, Scf11Version::Original)
-}
-
-/// Helper for tests and benches: assert a report's shape holds, with a
+/// Helper for tests: assert a report's shape holds, with a
 /// readable panic message.
 pub fn assert_shape(report: &ExperimentReport) {
     for c in &report.comparisons {

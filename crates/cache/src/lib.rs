@@ -158,11 +158,6 @@ impl BufferCache {
         self.block
     }
 
-    /// Capacity in blocks per I/O node.
-    pub fn capacity_blocks(&self) -> usize {
-        self.cap_blocks
-    }
-
     /// Resident block count at `node` (tests / diagnostics).
     pub fn resident_blocks(&self, node: usize) -> usize {
         self.nodes[node].borrow().lru.len()

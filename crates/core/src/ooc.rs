@@ -636,68 +636,68 @@ mod tests {
         assert_eq!(seg8[0].1 * 2, seg16[0].1);
     }
 
-    #[cfg(feature = "heavy-tests")]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
-
-            #[test]
-            fn segments_tile_the_block_exactly(
-                rows in 1u64..40,
-                cols in 1u64..40,
-                r0_raw in 0u64..40,
-                c0_raw in 0u64..40,
-                nr_raw in 1u64..40,
-                nc_raw in 1u64..40,
-                row_major in any::<bool>(),
-            ) {
-                // Clamp the block into the array instead of rejecting, so
-                // every generated case is exercised.
-                let r0 = r0_raw % rows;
-                let c0 = c0_raw % cols;
-                let nr = 1 + nr_raw % (rows - r0);
-                let nc = 1 + nc_raw % (cols - c0);
-                let layout = if row_major {
-                    FileLayout::RowMajor
-                } else {
-                    FileLayout::ColMajor
-                };
-                let segs = run(move |fs| {
-                    Box::pin(async move {
-                        let a = OocArray::create(
-                            &fs,
-                            0,
-                            Interface::UnixStyle,
-                            "p",
-                            rows,
-                            cols,
-                            layout,
-                            false,
-                        )
-                        .await
-                        .unwrap();
-                        a.block_segments(r0, c0, nr, nc)
-                    })
-                });
-                // Total bytes equal the block size.
-                let total: u64 = segs.iter().map(|&(_, b)| b).sum();
-                prop_assert_eq!(total, nr * nc * 8);
-                // Segments are disjoint and sorted by offset.
-                let mut sorted = segs.clone();
-                sorted.sort_unstable();
-                for w in sorted.windows(2) {
-                    prop_assert!(w[0].0 + w[0].1 <= w[1].0, "overlap: {w:?}");
-                }
-                // The count matches the layout formula.
-                let expect = match layout {
-                    FileLayout::ColMajor => if nr == rows { 1 } else { nc },
-                    FileLayout::RowMajor => if nc == cols { 1 } else { nr },
-                };
-                prop_assert_eq!(segs.len() as u64, expect);
+    #[test]
+    fn segments_tile_the_block_exactly() {
+        for seed in 0..32u64 {
+            let mut rng = iosim_simkit::rng::SimRng::seed_from(0x00c0_0000 + seed);
+            let rows = rng.range(1, 40);
+            let cols = rng.range(1, 40);
+            // Clamp the block into the array instead of rejecting, so
+            // every drawn case is exercised.
+            let r0 = rng.range(0, 40) % rows;
+            let c0 = rng.range(0, 40) % cols;
+            let nr = 1 + rng.range(1, 40) % (rows - r0);
+            let nc = 1 + rng.range(1, 40) % (cols - c0);
+            let layout = if rng.range(0, 2) == 1 {
+                FileLayout::RowMajor
+            } else {
+                FileLayout::ColMajor
+            };
+            let segs = run(move |fs| {
+                Box::pin(async move {
+                    let a = OocArray::create(
+                        &fs,
+                        0,
+                        Interface::UnixStyle,
+                        "p",
+                        rows,
+                        cols,
+                        layout,
+                        false,
+                    )
+                    .await
+                    .unwrap();
+                    a.block_segments(r0, c0, nr, nc)
+                })
+            });
+            let case = format!("seed {seed}: {rows}x{cols} {layout:?} block ({r0},{c0})+{nr}x{nc}");
+            // Total bytes equal the block size.
+            let total: u64 = segs.iter().map(|&(_, b)| b).sum();
+            assert_eq!(total, nr * nc * 8, "{case}");
+            // Segments are disjoint and sorted by offset.
+            let mut sorted = segs.clone();
+            sorted.sort_unstable();
+            for w in sorted.windows(2) {
+                assert!(w[0].0 + w[0].1 <= w[1].0, "{case}: overlap {w:?}");
             }
+            // The count matches the layout formula.
+            let expect = match layout {
+                FileLayout::ColMajor => {
+                    if nr == rows {
+                        1
+                    } else {
+                        nc
+                    }
+                }
+                FileLayout::RowMajor => {
+                    if nc == cols {
+                        1
+                    } else {
+                        nr
+                    }
+                }
+            };
+            assert_eq!(segs.len() as u64, expect, "{case}");
         }
     }
 

@@ -217,24 +217,12 @@ impl Machine {
         &self.nics[rank]
     }
 
-    /// Network time for `bytes` between compute ranks `a` and `b`.
-    pub fn net_time_between(&self, a: usize, b: usize, bytes: u64) -> SimDuration {
-        self.cfg
-            .net
-            .transfer_time(bytes, self.topo.compute_hops(a, b))
-    }
-
     /// Network time for `bytes` between compute rank `rank` and I/O node
     /// `io`.
     pub fn net_time_to_io(&self, rank: usize, io: usize, bytes: u64) -> SimDuration {
         self.cfg
             .net
             .transfer_time(bytes, self.topo.io_hops(rank, io))
-    }
-
-    /// Busy time summed over all I/O-node queues (for utilization reports).
-    pub fn total_io_busy(&self) -> SimDuration {
-        self.io_queues.iter().map(|q| q.stats().busy).sum()
     }
 }
 

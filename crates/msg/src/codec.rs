@@ -62,6 +62,7 @@ pub fn unpack_u64(bytes: &[u8]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iosim_simkit::rng::SimRng;
 
     #[test]
     fn f64_roundtrip_simple() {
@@ -81,25 +82,33 @@ mod tests {
         unpack_f64(&[1, 2, 3]);
     }
 
-    #[cfg(feature = "heavy-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
+    // Randomized round trips: each seed draws a vector of arbitrary bit
+    // patterns (NaNs, infinities and subnormals included for f64).
+    const SEEDS: u64 = 256;
 
-        proptest! {
-            #[test]
-            fn f64_roundtrip(v in proptest::collection::vec(any::<f64>(), 0..100)) {
-                let back = unpack_f64(&pack_f64(&v));
-                prop_assert_eq!(back.len(), v.len());
-                for (a, b) in back.iter().zip(&v) {
-                    prop_assert!(a.to_bits() == b.to_bits());
-                }
-            }
+    fn random_words(seed: u64) -> Vec<u64> {
+        let mut rng = SimRng::seed_from(0xc0de_0000 + seed);
+        let n = rng.range(0, 100) as usize;
+        (0..n).map(|_| rng.next_u64()).collect()
+    }
 
-            #[test]
-            fn u64_roundtrip(v in proptest::collection::vec(any::<u64>(), 0..100)) {
-                prop_assert_eq!(unpack_u64(&pack_u64(&v)), v);
+    #[test]
+    fn f64_roundtrip() {
+        for seed in 0..SEEDS {
+            let v: Vec<f64> = random_words(seed).into_iter().map(f64::from_bits).collect();
+            let back = unpack_f64(&pack_f64(&v));
+            assert_eq!(back.len(), v.len(), "seed {seed}");
+            for (a, b) in back.iter().zip(&v) {
+                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}");
             }
+        }
+    }
+
+    #[test]
+    fn u64_roundtrip() {
+        for seed in 0..SEEDS {
+            let v = random_words(seed);
+            assert_eq!(unpack_u64(&pack_u64(&v)), v, "seed {seed}");
         }
     }
 }

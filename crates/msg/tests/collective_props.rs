@@ -1,13 +1,18 @@
-#![cfg(feature = "heavy-tests")]
 //! Property tests of the collectives: for arbitrary payload matrices the
 //! collectives must implement their algebraic contracts (transpose for
 //! all-to-all, replication for broadcast/all-gather, reduction for
 //! all-reduce) — regardless of sizes or rank counts.
+//!
+//! Cases come from the in-tree [`SimRng`]; every assertion names its
+//! seed, so a failure replays from that seed alone.
 
 use iosim_machine::{presets, Machine};
 use iosim_msg::{Comm, Payload, World};
 use iosim_simkit::executor::{join_all, Sim};
-use proptest::prelude::*;
+use iosim_simkit::rng::SimRng;
+
+/// Seeds per property. Each seed is one simulated run.
+const SEEDS: u64 = 24;
 
 fn run_ranks<T: 'static, F, Fut>(n: usize, f: F) -> Vec<T>
 where
@@ -24,14 +29,16 @@ where
     jh.try_take().expect("all ranks completed")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+fn byte(rng: &mut SimRng) -> u8 {
+    rng.range(0, 256) as u8
+}
 
-    #[test]
-    fn alltoallv_is_a_transpose(
-        n in 2usize..6,
-        seed in any::<u8>(),
-    ) {
+#[test]
+fn alltoallv_is_a_transpose() {
+    for s in 0..SEEDS {
+        let mut rng = SimRng::seed_from(0xa2a0_0000 + s);
+        let n = rng.range(2, 6) as usize;
+        let seed = byte(&mut rng);
         // Payload from src to dst encodes (src, dst, seed).
         let outs = run_ranks(n, move |c| async move {
             let me = c.rank() as u8;
@@ -43,18 +50,21 @@ proptest! {
         });
         for (dst, got) in outs.iter().enumerate() {
             for (src, bytes) in got.iter().enumerate() {
-                prop_assert_eq!(
+                assert_eq!(
                     bytes.as_slice(),
-                    &[src as u8, dst as u8, seed, (src ^ dst) as u8][..]
+                    &[src as u8, dst as u8, seed, (src ^ dst) as u8][..],
+                    "seed {s}: {src} -> {dst} of {n}"
                 );
             }
         }
     }
+}
 
-    #[test]
-    fn alltoallv_preserves_arbitrary_lengths(
-        lens in proptest::collection::vec(0u64..5_000, 9..=9),
-    ) {
+#[test]
+fn alltoallv_preserves_arbitrary_lengths() {
+    for s in 0..SEEDS {
+        let mut rng = SimRng::seed_from(0xa2a1_0000 + s);
+        let lens: Vec<u64> = (0..9).map(|_| rng.range(0, 5_000)).collect();
         // 3 ranks, each sending lens[src*3+dst] synthetic bytes.
         let lens2 = lens.clone();
         let outs = run_ranks(3, move |c| {
@@ -70,18 +80,20 @@ proptest! {
         });
         for (dst, got) in outs.iter().enumerate() {
             for (src, &len) in got.iter().enumerate() {
-                prop_assert_eq!(len, lens[src * 3 + dst]);
+                assert_eq!(len, lens[src * 3 + dst], "seed {s}: {src} -> {dst}");
             }
         }
     }
+}
 
-    #[test]
-    fn bcast_replicates_any_payload(
-        n in 2usize..6,
-        root_pick in any::<u8>(),
-        data in proptest::collection::vec(any::<u8>(), 0..200),
-    ) {
-        let root = root_pick as usize % n;
+#[test]
+fn bcast_replicates_any_payload() {
+    for s in 0..SEEDS {
+        let mut rng = SimRng::seed_from(0xa2a2_0000 + s);
+        let n = rng.range(2, 6) as usize;
+        let root = byte(&mut rng) as usize % n;
+        let len = rng.range(0, 200) as usize;
+        let data: Vec<u8> = (0..len).map(|_| byte(&mut rng)).collect();
         let data2 = data.clone();
         let outs = run_ranks(n, move |c| {
             let data = data2.clone();
@@ -90,16 +102,18 @@ proptest! {
                 c.bcast(root, p).await.into_bytes()
             }
         });
-        for o in outs {
-            prop_assert_eq!(&o, &data);
+        for (rank, o) in outs.iter().enumerate() {
+            assert_eq!(o, &data, "seed {s}: rank {rank} of {n}, root {root}");
         }
     }
+}
 
-    #[test]
-    fn allreduce_sum_is_exact_for_integers(
-        n in 2usize..7,
-        values in proptest::collection::vec(-1000i32..1000, 7..=7),
-    ) {
+#[test]
+fn allreduce_sum_is_exact_for_integers() {
+    for s in 0..SEEDS {
+        let mut rng = SimRng::seed_from(0xa2a3_0000 + s);
+        let n = rng.range(2, 7) as usize;
+        let values: Vec<i32> = (0..7).map(|_| rng.range(0, 2000) as i32 - 1000).collect();
         let vals = values.clone();
         let outs = run_ranks(n, move |c| {
             let v = vals[c.rank()] as f64;
@@ -107,36 +121,36 @@ proptest! {
         });
         let want: f64 = values[..n].iter().map(|&v| v as f64).sum();
         for o in outs {
-            prop_assert!((o - want).abs() < 1e-9, "{o} vs {want}");
+            assert!((o - want).abs() < 1e-9, "seed {s}: {o} vs {want}");
         }
     }
+}
 
-    #[test]
-    fn gather_then_bcast_equals_allgather(
-        n in 2usize..5,
-        seed in any::<u8>(),
-    ) {
+#[test]
+fn gather_then_bcast_equals_allgather() {
+    for s in 0..SEEDS {
+        let mut rng = SimRng::seed_from(0xa2a4_0000 + s);
+        let n = rng.range(2, 5) as usize;
+        let seed = byte(&mut rng);
         let outs = run_ranks(n, move |c| async move {
             let mine = Payload::bytes(vec![c.rank() as u8 ^ seed]);
             let ag = c.allgather(mine.clone()).await;
             let g = c.gather(0, mine).await;
             (ag, g)
         });
-        let reference: Vec<Vec<u8>> =
-            (0..n).map(|r| vec![r as u8 ^ seed]).collect();
+        let reference: Vec<Vec<u8>> = (0..n).map(|r| vec![r as u8 ^ seed]).collect();
         for (rank, (ag, g)) in outs.into_iter().enumerate() {
-            let ag_bytes: Vec<Vec<u8>> =
-                ag.into_iter().map(|p| p.into_bytes()).collect();
-            prop_assert_eq!(&ag_bytes, &reference);
+            let ag_bytes: Vec<Vec<u8>> = ag.into_iter().map(|p| p.into_bytes().to_vec()).collect();
+            assert_eq!(ag_bytes, reference, "seed {s}: allgather at rank {rank}");
             if rank == 0 {
                 let g_bytes: Vec<Vec<u8>> = g
                     .expect("root has gather")
                     .into_iter()
-                    .map(|p| p.into_bytes())
+                    .map(|p| p.into_bytes().to_vec())
                     .collect();
-                prop_assert_eq!(&g_bytes, &reference);
+                assert_eq!(g_bytes, reference, "seed {s}: gather at root");
             } else {
-                prop_assert!(g.is_none());
+                assert!(g.is_none(), "seed {s}: rank {rank} got a gather result");
             }
         }
     }

@@ -507,13 +507,6 @@ impl FileSystem {
         latest
     }
 
-    /// Per-I/O-node busy durations (for balance diagnostics).
-    pub fn io_busy_profile(&self) -> Vec<f64> {
-        (0..self.machine.io_nodes())
-            .map(|i| self.machine.io_queue(i).stats().busy.as_secs_f64())
-            .collect()
-    }
-
     /// Names of all files, sorted.
     pub fn file_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.inner.borrow().files.keys().cloned().collect();

@@ -102,16 +102,12 @@ impl Striping {
         }
         runs.into_iter().flatten().collect()
     }
-
-    /// Number of distinct I/O nodes a request touches.
-    pub fn nodes_touched(&self, offset: u64, len: u64) -> usize {
-        self.runs(offset, len).len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iosim_simkit::rng::SimRng;
 
     #[test]
     fn single_unit_request_hits_one_node() {
@@ -235,70 +231,73 @@ mod tests {
         assert_eq!(n0.local_offset, 128);
     }
 
-    #[cfg(feature = "heavy-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
+    // Randomized properties: each seed draws one case from the same
+    // space the properties always covered; the seed is in every message.
+    const SEEDS: u64 = 256;
 
-        proptest! {
-        #[test]
-        fn runs_cover_exactly_len(
-            unit in 1u64..256,
-            factor in 1usize..9,
-            start in 0usize..8,
-            offset in 0u64..10_000,
-            len in 0u64..10_000,
-        ) {
-            let start = start % factor;
+    #[test]
+    fn runs_cover_exactly_len() {
+        for seed in 0..SEEDS {
+            let mut rng = SimRng::seed_from(0x1a70_0000 + seed);
+            let unit = rng.range(1, 256);
+            let factor = rng.range(1, 9) as usize;
+            let start = rng.range(0, 8) as usize % factor;
+            let offset = rng.range(0, 10_000);
+            let len = rng.range(0, 10_000);
             let s = Striping::new(unit, factor, start);
             let runs = s.runs(offset, len);
             let total: u64 = runs.iter().map(|r| r.bytes).sum();
-            prop_assert_eq!(total, len);
+            assert_eq!(total, len, "seed {seed}: runs must cover the request");
             // At most one run per node.
             let mut nodes: Vec<usize> = runs.iter().map(|r| r.io_node).collect();
             nodes.sort_unstable();
             nodes.dedup();
-            prop_assert_eq!(nodes.len(), runs.len());
+            assert_eq!(nodes.len(), runs.len(), "seed {seed}: two runs on one node");
         }
+    }
 
-        #[test]
-        fn adjacent_requests_have_adjacent_local_offsets(
-            unit in 1u64..128,
-            factor in 1usize..5,
-            offset in 0u64..5_000,
-            len in 1u64..2_000,
-        ) {
-            // Reading [offset, offset+len) then [offset+len, …) must
-            // continue each node's fragment without gaps: the second
-            // request's run on a node starts exactly at the end of the
-            // first request's run when that node had one ending at a unit
-            // boundary shared by both.
+    #[test]
+    fn adjacent_requests_have_adjacent_local_offsets() {
+        // Reading [offset, offset+len) then [offset+len, …) must continue
+        // each node's fragment without gaps: the second request's run on a
+        // node starts exactly at the end of the first request's run when
+        // that node had one ending at a unit boundary shared by both.
+        for seed in 0..SEEDS {
+            let mut rng = SimRng::seed_from(0x1a71_0000 + seed);
+            let unit = rng.range(1, 128);
+            let factor = rng.range(1, 5) as usize;
+            let offset = rng.range(0, 5_000);
+            let len = rng.range(1, 2_000);
             let s = Striping::new(unit, factor, 0);
             let a = s.runs(offset, len);
             let b = s.runs(offset + len, len.max(unit * factor as u64));
             for rb in &b {
                 if let Some(ra) = a.iter().find(|r| r.io_node == rb.io_node) {
-                    prop_assert!(rb.local_offset >= ra.local_offset,
-                        "fragment must move forward: {:?} then {:?}", ra, rb);
+                    assert!(
+                        rb.local_offset >= ra.local_offset,
+                        "seed {seed}: fragment must move forward: {ra:?} then {rb:?}"
+                    );
                 }
             }
         }
+    }
 
-        #[test]
-        fn local_offset_is_monotone_per_node(
-            unit in 1u64..128,
-            factor in 1usize..6,
-            a in 0u64..100_000,
-            b in 0u64..100_000,
-        ) {
+    #[test]
+    fn local_offset_is_monotone_per_node() {
+        for seed in 0..SEEDS {
+            let mut rng = SimRng::seed_from(0x1a72_0000 + seed);
+            let unit = rng.range(1, 128);
+            let factor = rng.range(1, 6) as usize;
+            let a = rng.range(0, 100_000);
+            let b = rng.range(0, 100_000);
             let s = Striping::new(unit, factor, 0);
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            let u_lo = lo / unit;
-            let u_hi = hi / unit;
-            if s.node_of_unit(u_lo) == s.node_of_unit(u_hi) {
-                prop_assert!(s.local_offset(lo) <= s.local_offset(hi));
+            if s.node_of_unit(lo / unit) == s.node_of_unit(hi / unit) {
+                assert!(
+                    s.local_offset(lo) <= s.local_offset(hi),
+                    "seed {seed}: local offset of {lo} above that of {hi}"
+                );
             }
-        }
         }
     }
 }

@@ -44,13 +44,6 @@ impl LogCursor {
         LogCursor::default()
     }
 
-    /// A cursor starting at `pos` (e.g. appending after a header).
-    pub fn starting_at(pos: u64) -> LogCursor {
-        LogCursor {
-            pos: Rc::new(RefCell::new(pos)),
-        }
-    }
-
     /// Current end-of-log offset.
     pub fn position(&self) -> u64 {
         *self.pos.borrow()

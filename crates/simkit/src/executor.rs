@@ -402,6 +402,20 @@ impl Sim {
     }
 }
 
+/// Dropping the simulation drops every task still pending in it. Parked
+/// daemons (such as the I/O-node queue daemons, which wait on their
+/// channels forever) capture handles back into the core, so leaving them
+/// in the slab would form an `Rc` cycle that keeps the core, and
+/// everything the daemons hold, alive.
+/// The slab is taken out first so the futures' own destructors (which may
+/// wake, release timer slots or drop handles) run outside any borrow.
+impl Drop for Sim {
+    fn drop(&mut self) {
+        let pending = std::mem::take(&mut *self.handle.core.tasks.borrow_mut());
+        drop(pending);
+    }
+}
+
 impl SimHandle {
     /// Current virtual time.
     #[inline]

@@ -86,11 +86,6 @@ impl SimRng {
         lo + (m >> 64) as u64
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.unit() * (hi - lo)
-    }
-
     /// A value drawn from `mean * (1 ± spread)`, uniformly. Used for mild
     /// service-time jitter; `spread` is clamped to `[0, 1]`.
     pub fn jitter(&mut self, mean: f64, spread: f64) -> f64 {

@@ -182,11 +182,6 @@ impl SendPromise {
         self.floor.set(t.as_nanos());
     }
 
-    /// Retract any promise (back to the default floor of zero).
-    pub fn retract(&self) {
-        self.floor.set(0);
-    }
-
     fn published(&self) -> u64 {
         self.floor.get()
     }

@@ -117,9 +117,9 @@ impl ReplaySpec {
 }
 
 /// Machine-level measurements of one engine run. Field-for-field the
-/// same data `iosim_apps::common::RunResult` carries — the `iosim-apps`
-/// wrapper converts between the two — but defined here so the workload
-/// crate does not depend on the applications crate.
+/// same data `iosim_apps::common::RunResult` carries (`iosim-apps`
+/// converts with `From`) but defined here so the workload crate does
+/// not depend on the applications crate.
 #[derive(Clone, Debug)]
 pub struct RunStats {
     /// Compute nodes used.
@@ -1610,18 +1610,11 @@ async fn flush_window(
 mod tests {
     use super::*;
     use crate::arrival::ArrivalModel;
-    use crate::opstream::{parse_legacy, parse_opstream, OpStream};
+    use crate::opstream::{parse_legacy, parse_opstream, synthesize_strided, OpStream};
     use iosim_machine::presets;
 
     fn strided(ranks: usize, ops_per_rank: u64, record: u64) -> OpStream {
-        let mut text = String::new();
-        for k in 0..ops_per_rank {
-            for r in 0..ranks {
-                let off = (k * ranks as u64 + r as u64) * record;
-                text.push_str(&format!("{r} w {off} {record}\n"));
-            }
-        }
-        OpStream::from_legacy(&parse_legacy(&text).unwrap())
+        OpStream::from_legacy(&synthesize_strided(ranks, ops_per_rank, record))
     }
 
     #[test]
@@ -1651,6 +1644,55 @@ mod tests {
         assert_eq!(direct.latency.count(), 160);
         assert_eq!(list.latency.count(), 160);
         assert_eq!(two.latency.count(), 160);
+    }
+
+    #[test]
+    fn collective_replay_is_faster_for_strided_writes() {
+        let s = strided(4, 100, 512);
+        let direct = replay(&s, &ReplaySpec::direct(presets::sp2()));
+        let coll = replay(&s, &ReplaySpec::two_phase(presets::sp2(), 100));
+        assert!(
+            coll.stats.exec_time.as_secs_f64() < direct.stats.exec_time.as_secs_f64() / 2.0,
+            "collective replay should win: {:?} vs {:?}",
+            coll.stats.exec_time,
+            direct.stats.exec_time
+        );
+        assert_eq!(coll.stats.io_bytes, direct.stats.io_bytes);
+    }
+
+    #[test]
+    fn uneven_rank_op_counts_stay_collectively_aligned() {
+        // Rank 0 has 7 ops, rank 1 has 2: windows must still align.
+        let mut text = String::new();
+        for k in 0..7u64 {
+            text.push_str(&format!("0 w {} 100\n", k * 100));
+        }
+        for k in 0..2u64 {
+            text.push_str(&format!("1 w {} 100\n", 1000 + k * 100));
+        }
+        let s = OpStream::from_legacy(&parse_legacy(&text).unwrap());
+        let rep = replay(&s, &ReplaySpec::two_phase(presets::sp2(), 3));
+        assert_eq!(rep.stats.io_bytes, 900);
+        assert_eq!(rep.latency.count(), 9);
+    }
+
+    #[test]
+    fn mixed_reads_and_writes_replay() {
+        let text = "0 w 0 1000\n1 w 1000 1000\n0 r 1000 500\n1 r 0 500\n";
+        let s = OpStream::from_legacy(&parse_legacy(text).unwrap());
+        let rep = replay(&s, &ReplaySpec::direct(presets::paragon_small()));
+        assert_eq!(rep.stats.summary.rows[1].bytes, 1000); // reads
+        assert_eq!(rep.stats.summary.rows[3].bytes, 2000); // writes
+        let coll = replay(&s, &ReplaySpec::two_phase(presets::paragon_small(), 4));
+        let rows = &coll.stats.summary.rows;
+        assert_eq!(rows[1].bytes + rows[3].bytes, 3000);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace needs")]
+    fn too_many_ranks_rejected() {
+        let s = strided(100, 1, 10);
+        let _ = replay(&s, &ReplaySpec::direct(presets::sp2()));
     }
 
     #[test]

@@ -264,14 +264,21 @@ impl OpStream {
     }
 }
 
-/// Number of ranks a legacy trace needs.
-pub fn ranks_of(ops: &[TraceOp]) -> usize {
-    ops.iter().map(|o| o.rank + 1).max().unwrap_or(1)
-}
-
-/// File size a legacy trace requires (max end offset).
-pub fn extent_of(ops: &[TraceOp]) -> u64 {
-    ops.iter().map(|o| o.offset + o.len).max().unwrap_or(0)
+/// Synthesize a strided checkpoint-style legacy trace: `ranks` ranks each
+/// writing `ops_per_rank` interleaved records of `record` bytes.
+pub fn synthesize_strided(ranks: usize, ops_per_rank: u64, record: u64) -> Vec<TraceOp> {
+    let mut ops = Vec::with_capacity(ranks * ops_per_rank as usize);
+    for k in 0..ops_per_rank {
+        for r in 0..ranks {
+            ops.push(TraceOp {
+                rank: r,
+                kind: TraceKind::Write,
+                offset: (k * ranks as u64 + r as u64) * record,
+                len: record,
+            });
+        }
+    }
+    ops
 }
 
 // ---------------------------------------------------------------------
@@ -598,6 +605,21 @@ mod tests {
             .unwrap_err()
             .message
             .contains("zero-length"));
+    }
+
+    #[test]
+    fn parse_error_is_std_error() {
+        let err = parse_legacy("0 q 0 1\n").unwrap_err();
+        let e: &dyn std::error::Error = &err;
+        assert!(e.to_string().contains("trace line 1"));
+    }
+
+    #[test]
+    fn strided_stream_derives_ranks_and_extents() {
+        let s = OpStream::from_legacy(&synthesize_strided(4, 10, 256));
+        assert_eq!(s.ranks(), 4);
+        assert_eq!(s.extents(), vec![4 * 10 * 256]);
+        assert_eq!(s.data_ops(), 40);
     }
 
     #[test]

@@ -67,6 +67,31 @@ impl Opts {
     fn str_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
         self.0.get(key).map(String::as_str).unwrap_or(default)
     }
+    /// A count flag that must be at least 1.
+    fn count(&self, key: &str, default: usize) -> usize {
+        let n = self.get(key, default);
+        if n == 0 {
+            die(&format!("--{key} must be at least 1"));
+        }
+        n
+    }
+}
+
+/// `--procs` for the apps on a square process grid (BTIO, AST).
+fn square_procs(o: &Opts) -> usize {
+    let procs = o.count("procs", 16);
+    if procs.isqrt().pow(2) != procs {
+        die(&format!("--procs {procs} must be a square process count"));
+    }
+    procs
+}
+
+/// Refuse a machine the simulator would reject, before it panics in
+/// `Machine::new`; `what` names the flags that shaped it.
+fn check_machine(cfg: &iosim::machine::MachineConfig, what: &str) {
+    if let Err(e) = cfg.validate() {
+        die(&format!("{what}: {e}"));
+    }
 }
 
 /// `--threads N` selects the sharded parallel engine with N host
@@ -123,15 +148,16 @@ fn run_scf11(o: &Opts) -> RunResult {
         )),
     };
     let cfg = scf11::Scf11Config {
-        procs: o.get("procs", 4),
-        io_nodes: o.get("io-nodes", 12),
+        procs: o.count("procs", 4),
+        io_nodes: o.count("io-nodes", 12),
         mem_kb: o.get("mem-kb", 64),
-        stripe_unit_kb: o.get("stripe-kb", 64),
+        stripe_unit_kb: o.count("stripe-kb", 64) as u64,
         scale: o.get("scale", 1.0),
         cache_mb: o.get("cache", 0),
         queue_depth: o.get("queue-depth", 1),
         ..scf11::Scf11Config::new(input, version)
     };
+    check_machine(&scf11::machine(&cfg), "--procs/--io-nodes");
     eprintln!(
         "SCF 1.1 {} {:?} tuple {}",
         input.name(),
@@ -147,19 +173,20 @@ fn run_scf11(o: &Opts) -> RunResult {
 }
 
 fn run_scf30(o: &Opts) -> RunResult {
+    let cached = o.get("cached", 90);
+    if cached > 100 {
+        die("--cached is a percentage (0-100)");
+    }
     let cfg = scf30::Scf30Config {
-        io_nodes: o.get("io-nodes", 16),
+        io_nodes: o.count("io-nodes", 16),
         balanced: !o.flag("unbalanced"),
         prefetch: !o.flag("no-prefetch"),
         scale: o.get("scale", 1.0),
         cache_mb: o.get("cache", 0),
         queue_depth: o.get("queue-depth", 1),
-        ..scf30::Scf30Config::new(
-            scf11::ScfInput::Medium,
-            o.get("procs", 32),
-            o.get("cached", 90),
-        )
+        ..scf30::Scf30Config::new(scf11::ScfInput::Medium, o.count("procs", 32), cached)
     };
+    check_machine(&scf30::machine(&cfg), "--procs/--io-nodes");
     eprintln!(
         "SCF 3.0 MEDIUM {}% cached, {} procs, {} I/O nodes",
         cfg.cached_percent, cfg.procs, cfg.io_nodes
@@ -173,11 +200,16 @@ fn run_scf30(o: &Opts) -> RunResult {
 }
 
 fn run_fft(o: &Opts) -> RunResult {
-    let mut cfg = fft::FftConfig::new(o.get("n", 1024), o.get("procs", 4), o.flag("optimized"));
-    cfg.io_nodes = o.get("io-nodes", 2);
+    let n: u64 = o.get("n", 1024);
+    if !n.is_power_of_two() {
+        die(&format!("--n {n} must be a power of two"));
+    }
+    let mut cfg = fft::FftConfig::new(n, o.count("procs", 4), o.flag("optimized"));
+    cfg.io_nodes = o.count("io-nodes", 2);
     cfg.mem_per_proc = o.get("mem-mb", 16u64) << 20;
     cfg.cache_mb = o.get("cache", 0);
     cfg.queue_depth = o.get("queue-depth", 1);
+    check_machine(&cfg.machine(), "--procs/--io-nodes");
     eprintln!(
         "2-D out-of-core FFT {}x{} complex, {} procs, {} I/O nodes, optimized={}",
         cfg.n, cfg.n, cfg.procs, cfg.io_nodes, cfg.optimized
@@ -199,13 +231,15 @@ fn run_btio(o: &Opts) -> RunResult {
             btio::BtClass::Custom(n)
         }
     };
+    let procs = square_procs(o);
     let cfg = btio::BtioConfig {
         dumps: o.get("dumps", 40),
         verify: o.flag("verify"),
         cache_mb: o.get("cache", 0),
         queue_depth: o.get("queue-depth", 1),
-        ..btio::BtioConfig::new(class, o.get("procs", 16), o.flag("optimized"))
+        ..btio::BtioConfig::new(class, procs, o.flag("optimized"))
     };
+    check_machine(&cfg.machine(), "--procs");
     eprintln!(
         "BTIO {} ({}³ grid), {} procs, {} dumps, optimized={}",
         class.name(),
@@ -229,11 +263,12 @@ fn run_ast(o: &Opts) -> RunResult {
         cache_mb: o.get("cache", 0),
         queue_depth: o.get("queue-depth", 1),
         ..ast::AstConfig::new(
-            o.get("procs", 16),
-            o.get("io-nodes", 16),
+            square_procs(o),
+            o.count("io-nodes", 16),
             o.flag("optimized"),
         )
     };
+    check_machine(&cfg.machine(), "--procs/--io-nodes");
     eprintln!(
         "AST {}x{} grid, {} arrays, {} procs, {} I/O nodes, optimized={}",
         cfg.grid, cfg.grid, cfg.arrays, cfg.procs, cfg.io_nodes, cfg.optimized
@@ -261,7 +296,7 @@ fn replay_spec(
     use iosim::workload::engine::ReplaySpec;
     // `--collective BATCH` is the original spelling of two-phase mode.
     let collective: usize = o.get("collective", 0);
-    let batch: usize = o.get("batch", 32);
+    let batch = o.count("batch", 32);
     let mode = if collective > 0 {
         "twophase"
     } else {
@@ -287,6 +322,14 @@ fn run_replay(o: &Opts) -> RunResult {
     let stream =
         workload::parse_any(&text, o.get("seed", 42)).unwrap_or_else(|e| die(&e.to_string()));
     let machine = machine_preset(o).with_compute_nodes(stream.ranks().max(1));
+    check_machine(
+        &machine,
+        &format!(
+            "--machine {} for a {}-rank trace",
+            o.str_or("machine", "sp2"),
+            stream.ranks()
+        ),
+    );
     let spec = replay_spec(o, machine);
     eprintln!(
         "replaying {} ops ({} data ops) across {} ranks, {:?} mode",
@@ -325,16 +368,19 @@ fn run_synth(o: &Opts) -> RunResult {
         ArrivalModel::Poisson { rate }
     };
     let synth = SynthSpec {
-        clients: o.get("clients", 64),
+        clients: o.count("clients", 64),
         duration: iosim::simkit::time::SimDuration::from_secs_f64(o.get("duration", 1.0)),
         arrival,
         read_frac: o.get("read-frac", 0.5),
-        op_bytes: o.get("op-kb", 64u64) << 10,
-        fragments: o.get("fragments", 8),
-        files: o.get("files", 4),
+        op_bytes: (o.count("op-kb", 64) as u64) << 10,
+        fragments: o.count("fragments", 8) as u32,
+        files: o.count("files", 4),
         file_bytes: o.get("file-mb", 64u64) << 20,
         seed: o.get("seed", 42),
     };
+    if !(0.0..=1.0).contains(&synth.read_frac) {
+        die("--read-frac must be in [0, 1]");
+    }
     let mut machine = machine_preset(o);
     machine = iosim::apps::common::with_cache_mb(machine, o.get("cache", 0));
     machine = iosim::apps::common::with_queue_depth(machine, o.get("queue-depth", 1));

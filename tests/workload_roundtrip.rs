@@ -7,8 +7,8 @@
 
 use iosim::machine::presets;
 use iosim::workload::{
-    parse_any, parse_opstream, render_opstream, replay, run_open_loop, OpStream, ReplaySpec,
-    SynthSpec,
+    parse_any, parse_opstream, render_legacy, render_opstream, replay, run_open_loop,
+    synthesize_strided, OpStream, ReplaySpec, SynthSpec,
 };
 
 fn sample(name: &str) -> String {
@@ -54,17 +54,20 @@ fn three_modes_replay_the_committed_sample() {
 }
 
 #[test]
-fn legacy_wrapper_and_engine_agree() {
-    use iosim::apps::replay::{replay as legacy_replay, synthesize_strided, ReplayConfig};
+fn legacy_text_and_op_list_replay_identically() {
+    // The CLI path (render to the 4-column text, auto-detect, parse) and
+    // an in-memory op list must reach the engine as the same stream.
     let ops = synthesize_strided(4, 50, 2048);
-    let via_wrapper = legacy_replay(&ops, &ReplayConfig::direct(presets::sp2()));
-    let via_engine = replay(
-        &OpStream::from_legacy(&ops),
-        &ReplaySpec::direct(presets::sp2()),
-    );
-    assert_eq!(via_wrapper.exec_time, via_engine.stats.exec_time);
-    assert_eq!(via_wrapper.io_bytes, via_engine.stats.io_bytes);
-    assert_eq!(via_wrapper.io_ops, via_engine.stats.io_ops);
+    let from_text = parse_any(&render_legacy(&ops), 0).expect("parse rendered legacy trace");
+    let from_ops = OpStream::from_legacy(&ops);
+    assert_eq!(from_text, from_ops);
+    let spec = ReplaySpec::direct(presets::sp2());
+    let a = replay(&from_text, &spec);
+    let b = replay(&from_ops, &spec);
+    assert_eq!(a.stats.exec_time, b.stats.exec_time);
+    assert_eq!(a.stats.io_bytes, b.stats.io_bytes);
+    assert_eq!(a.stats.io_ops, b.stats.io_ops);
+    assert_eq!(a.stats.io_bytes, 4 * 50 * 2048);
 }
 
 #[test]

@@ -149,4 +149,14 @@ if [ -n "$fx_files" ]; then
   fi
 fi
 
+echo "== one build configuration: no cargo features =="
+# Every test, oracle and bench builds and runs under the default
+# configuration; a cargo feature would bring back code that plain
+# `cargo test` never compiles. (perfbench/ is its own workspace.)
+if grep -rn --include=Cargo.toml "^\[features\]" Cargo.toml crates \
+  || grep -rn "cfg(feature" Cargo.toml crates src tests examples; then
+  echo "cargo feature or cfg(feature) gate found - keep one build configuration"
+  exit 1
+fi
+
 echo "verify.sh: all checks passed"
