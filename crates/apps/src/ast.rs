@@ -30,9 +30,7 @@ use iosim_core::two_phase::{write_collective, Piece};
 use iosim_machine::{presets, Interface, MachineConfig};
 use iosim_pfs::{CreateOptions, IoRequest};
 
-use crate::common::{
-    run_ranks, run_ranks_sharded, AppCtx, RankFuture, RunResult, ShardFinish, ShardProgram,
-};
+use crate::common::{run_ranks, AppCtx, RunResult};
 
 /// AST configuration.
 #[derive(Clone, Debug)]
@@ -134,26 +132,6 @@ pub fn run(cfg: &AstConfig) -> RunResult {
             rank_program(ctx, cfg).await;
         })
     })
-}
-
-/// Run AST on the sharded parallel engine (up to `workers` host threads;
-/// see [`crate::common::run_ranks_sharded`]). Timing-only mode.
-pub fn run_threaded(cfg: &AstConfig, workers: usize) -> RunResult {
-    assert!(!cfg.stored, "sharded runs are timing-only");
-    let cfg2 = cfg.clone();
-    let (res, _) = run_ranks_sharded(cfg.machine(), cfg.procs, workers, move |_spec| {
-        let cfg = cfg2.clone();
-        (
-            Box::new(move |ctx: AppCtx| -> RankFuture {
-                let cfg = cfg.clone();
-                Box::pin(async move {
-                    rank_program(ctx, cfg).await;
-                })
-            }) as ShardProgram,
-            Box::new(|| ()) as ShardFinish<()>,
-        )
-    });
-    res
 }
 
 /// Run AST and capture the final shared file (stored mode). The capture

@@ -5,16 +5,12 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 
-use iosim_machine::shard::{plan_with_max_shards, ShardSpec};
 use iosim_machine::{Machine, MachineConfig};
-use iosim_msg::{Comm, ShardLink, ShardSignal, World};
+use iosim_msg::{Comm, World};
 use iosim_pfs::FileSystem;
 use iosim_simkit::executor::{join_all, Sim};
-use iosim_simkit::shard::{run_sharded, ShardCtx, ShardRuntime};
 use iosim_simkit::time::SimDuration;
-use iosim_trace::{
-    BalanceStats, CacheSnapshot, IoSummary, ListIoSnapshot, QueueSnapshot, TraceCollector,
-};
+use iosim_trace::{CacheSnapshot, IoSummary, ListIoSnapshot, QueueSnapshot, TraceCollector};
 use iosim_workload::RunStats;
 
 /// Everything one simulated process needs.
@@ -240,212 +236,6 @@ pub fn run_ranks(
     }
 }
 
-/// A per-rank program factory scoped to one shard; the closure lives on
-/// the shard's worker thread, so it may share `Rc` state with the
-/// [`ShardFinish`] extractor created alongside it.
-pub type ShardProgram = Box<dyn Fn(AppCtx) -> RankFuture>;
-
-/// Extracts a shard's application-specific result after the run.
-pub type ShardFinish<X> = Box<dyn FnOnce() -> X>;
-
-/// Lower bound on the engine lookahead used by sharded app runs (see
-/// [`iosim_machine::shard::LOOKAHEAD_FLOOR`] for the rationale).
-pub const SHARD_LOOKAHEAD_FLOOR: SimDuration = iosim_machine::shard::LOOKAHEAD_FLOOR;
-
-/// Everything a sharded run collects per shard before merging.
-struct ShardOutput<X> {
-    per_rank_io: Vec<SimDuration>,
-    cum_io_time: SimDuration,
-    summary: IoSummary,
-    io_bytes: u64,
-    io_ops: u64,
-    read_sizes: iosim_trace::SizeHistogram,
-    write_sizes: iosim_trace::SizeHistogram,
-    cache: CacheSnapshot,
-    listio: ListIoSnapshot,
-    queue: QueueSnapshot,
-    mem: iosim_trace::MemSnapshot,
-    extra: X,
-}
-
-/// Sharded variant of [`run_ranks`]: partition the machine along its
-/// topology ([`iosim_machine::shard::plan`]), simulate each shard's rank
-/// group on its own executor (run by up to `workers` host threads), and
-/// merge the shards' measurements into one [`RunResult`].
-///
-/// `make` is called once per shard, on the shard's worker thread, and
-/// returns the per-rank program plus an extractor for an
-/// application-specific per-shard result (returned in shard order).
-/// Programs receive **global** ranks (`ShardSpec::rank_base` + local
-/// index) on a **group-local** world of the shard's ranks; global
-/// barriers rendezvous across shards through the world's
-/// [`iosim_msg::ShardLink`].
-///
-/// The result is bit-identical for every `workers` value — shard
-/// decomposition is fixed by the machine, workers only execute it — but
-/// differs from [`run_ranks`]'s monolithic schedule: each shard has its
-/// own event order and fingerprint ([`iosim_simkit::executor::combine_fingerprints`]
-/// folds them in shard order). Degenerate machines (one I/O node, one
-/// rank, zero-latency network) fall back to [`run_ranks`] exactly.
-pub fn run_ranks_sharded<X: Send + 'static>(
-    cfg: MachineConfig,
-    procs: usize,
-    workers: usize,
-    make: impl Fn(&ShardSpec) -> (ShardProgram, ShardFinish<X>) + Send + Sync,
-) -> (RunResult, Vec<X>) {
-    let host_t0 = std::time::Instant::now();
-    let workers = workers.max(1);
-    let plan = plan_with_max_shards(&cfg, procs, usize::MAX);
-    if plan.is_degenerate() {
-        let (program, finish) = make(&plan.shards[0]);
-        let mut res = run_ranks(cfg, procs, program);
-        res.host_elapsed = host_t0.elapsed();
-        return (res, vec![finish()]);
-    }
-    let lookahead = plan.lookahead.max(SHARD_LOOKAHEAD_FLOOR);
-    let io_nodes_total = cfg.io_nodes;
-    let make = &make;
-    let cfg = &cfg;
-    let builders: Vec<_> = plan
-        .shards
-        .iter()
-        .cloned()
-        .map(|spec| {
-            move |ctx: ShardCtx<ShardSignal>| -> ShardRuntime<ShardSignal, ShardOutput<X>> {
-                let sim = Sim::new();
-                let trace = TraceCollector::new();
-                // Each shard simulates its slice of the machine: its rank
-                // group and its I/O nodes, on the parent mesh (so global
-                // ranks keep their real coordinates for hop counts).
-                let sub_cfg = cfg
-                    .clone()
-                    .with_compute_nodes(spec.ranks.max(1))
-                    .with_io_nodes(spec.io_nodes.max(1));
-                let machine = Machine::new(sim.handle(), sub_cfg);
-                let fs = FileSystem::new(Rc::clone(&machine), trace.clone());
-                let world = World::new(Rc::clone(&machine), spec.ranks);
-                let link = ShardLink::new(
-                    sim.handle(),
-                    ctx.index,
-                    ctx.shards,
-                    ctx.lookahead,
-                    ctx.outbox,
-                );
-                world.set_shard_link(link.clone());
-                let (program, finish) = make(&spec);
-                let h = sim.handle();
-                let futs: Vec<RankFuture> = world
-                    .comms()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(local, comm)| {
-                        program(AppCtx {
-                            rank: spec.rank_base + local,
-                            comm,
-                            fs: Rc::clone(&fs),
-                            machine: Rc::clone(&machine),
-                        })
-                    })
-                    .collect();
-                let n = futs.len();
-                let jh = sim.spawn(async move {
-                    let done = join_all(&h, futs).await;
-                    done.len()
-                });
-                ShardRuntime {
-                    sim,
-                    deliver: Box::new(move |sig| link.deliver(sig)),
-                    finish: Box::new(move || {
-                        assert_eq!(
-                            jh.try_take().expect("application deadlocked"),
-                            n,
-                            "all ranks of shard {} must finish",
-                            spec.index
-                        );
-                        // The collector indexes by global rank; keep this
-                        // shard's slice for the cross-shard balance stats.
-                        let mut per_rank = trace.per_rank_io_times();
-                        per_rank.resize(spec.rank_base + spec.ranks, SimDuration::ZERO);
-                        let per_rank_io = per_rank[spec.rank_base..].to_vec();
-                        ShardOutput {
-                            per_rank_io,
-                            cum_io_time: trace.cumulative_io_time(),
-                            summary: trace.summary(),
-                            io_bytes: trace.total_bytes(),
-                            io_ops: trace.total_ops(),
-                            read_sizes: trace.read_sizes(),
-                            write_sizes: trace.write_sizes(),
-                            cache: trace.cache().snapshot(),
-                            listio: trace.listio().snapshot(),
-                            queue: trace.queue().snapshot(),
-                            mem: trace.mem().snapshot(),
-                            extra: finish(),
-                        }
-                    }),
-                }
-            }
-        })
-        .collect();
-    let report = run_sharded(lookahead, workers, builders);
-
-    let mut outputs = report.results;
-    let mut per_rank: Vec<SimDuration> = Vec::with_capacity(procs);
-    let mut summary: Option<IoSummary> = None;
-    let mut cum_io_time = SimDuration::ZERO;
-    let mut io_bytes = 0u64;
-    let mut io_ops = 0u64;
-    let mut read_sizes = iosim_trace::SizeHistogram::new();
-    let mut write_sizes = iosim_trace::SizeHistogram::new();
-    let mut cache = CacheSnapshot::default();
-    let mut listio = ListIoSnapshot::default();
-    let mut queue = QueueSnapshot::default();
-    let mut shard_mem = iosim_trace::MemSnapshot::default();
-    let mut extras = Vec::with_capacity(outputs.len());
-    for out in outputs.drain(..) {
-        per_rank.extend_from_slice(&out.per_rank_io);
-        match &mut summary {
-            Some(s) => s.merge(&out.summary),
-            None => summary = Some(out.summary),
-        }
-        cum_io_time += out.cum_io_time;
-        io_bytes += out.io_bytes;
-        io_ops += out.io_ops;
-        read_sizes.merge(&out.read_sizes);
-        write_sizes.merge(&out.write_sizes);
-        cache.merge(&out.cache);
-        listio.merge(&out.listio);
-        queue.merge(&out.queue);
-        shard_mem.merge(&out.mem);
-        extras.push(out.extra);
-    }
-    let io_time = per_rank
-        .iter()
-        .copied()
-        .fold(SimDuration::ZERO, SimDuration::max);
-    let result = RunResult {
-        procs,
-        io_nodes: io_nodes_total,
-        exec_time: report.end_time - iosim_simkit::time::SimTime::ZERO,
-        io_time,
-        cum_io_time,
-        summary: summary.expect("at least one shard"),
-        io_bytes,
-        io_ops,
-        read_sizes,
-        write_sizes,
-        balance: BalanceStats::from_times(&per_rank),
-        cache,
-        listio,
-        queue,
-        sim_events: report.events,
-        sched_fingerprint: report.fingerprint,
-        sync_rounds: report.rounds,
-        shard_mem,
-        host_elapsed: host_t0.elapsed(),
-    };
-    (result, extras)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,88 +272,6 @@ mod tests {
         assert_eq!(res.write_sizes.total_count(), 4);
         assert_eq!(res.write_sizes.count_for(1 << 20), 4);
         assert_eq!(res.read_sizes.total_count(), 0);
-    }
-
-    fn write_and_sync(ctx: AppCtx) -> RankFuture {
-        Box::pin(async move {
-            let fh = ctx
-                .fs
-                .open(
-                    ctx.rank,
-                    Interface::Passion,
-                    &format!("f{}", ctx.rank),
-                    Some(CreateOptions::default()),
-                )
-                .await
-                .unwrap();
-            fh.write_discard_at(0, 1 << 20).await.unwrap();
-            ctx.comm.barrier().await;
-        })
-    }
-
-    #[test]
-    fn sharded_run_merges_per_shard_measurements() {
-        // paragon_small has 2 I/O nodes → 2 shards of 2 ranks each.
-        let make = |_spec: &iosim_machine::ShardSpec| -> (ShardProgram, ShardFinish<u64>) {
-            let finished = Rc::new(std::cell::Cell::new(0u64));
-            let f2 = Rc::clone(&finished);
-            (
-                Box::new(move |ctx: AppCtx| -> RankFuture {
-                    let f = Rc::clone(&f2);
-                    Box::pin(async move {
-                        write_and_sync(ctx).await;
-                        f.set(f.get() + 1);
-                    })
-                }),
-                Box::new(move || finished.get()),
-            )
-        };
-        let (res, extras) = run_ranks_sharded(presets::paragon_small(), 4, 2, make);
-        assert_eq!(res.procs, 4);
-        assert_eq!(res.io_bytes, 4 << 20);
-        assert_eq!(res.summary.rows[3].count, 4); // 4 writes across shards
-        assert_eq!(res.write_sizes.total_count(), 4);
-        assert_eq!(res.balance.ranks, 4);
-        assert!(res.exec_time > SimDuration::ZERO);
-        assert!(res.io_time <= res.exec_time);
-        assert_eq!(extras, vec![2, 2]); // 2 ranks finished per shard
-    }
-
-    #[test]
-    fn sharded_worker_count_is_invisible() {
-        let run = |workers: usize| {
-            run_ranks_sharded(presets::paragon_small(), 6, workers, |_s| {
-                (
-                    Box::new(write_and_sync) as ShardProgram,
-                    Box::new(|| ()) as ShardFinish<()>,
-                )
-            })
-            .0
-        };
-        let a = run(1);
-        let b = run(3);
-        assert_eq!(a.sched_fingerprint, b.sched_fingerprint);
-        assert_eq!(a.exec_time, b.exec_time);
-        assert_eq!(a.sim_events, b.sim_events);
-        assert_eq!(a.io_bytes, b.io_bytes);
-    }
-
-    #[test]
-    fn degenerate_machine_falls_back_to_monolithic() {
-        // One I/O node → single shard → the sharded entry point must
-        // reproduce the monolithic schedule bit for bit.
-        let cfg = presets::paragon_small().with_io_nodes(1);
-        let mono = run_ranks(cfg.clone(), 3, write_and_sync);
-        let (shard, extras) = run_ranks_sharded(cfg, 3, 4, |_s| {
-            (
-                Box::new(write_and_sync) as ShardProgram,
-                Box::new(|| ()) as ShardFinish<()>,
-            )
-        });
-        assert_eq!(extras.len(), 1);
-        assert_eq!(mono.sched_fingerprint, shard.sched_fingerprint);
-        assert_eq!(mono.exec_time, shard.exec_time);
-        assert_eq!(mono.sim_events, shard.sim_events);
     }
 
     #[test]

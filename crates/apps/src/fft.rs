@@ -30,9 +30,7 @@ use iosim_buf::Bytes;
 use iosim_core::ooc::{FileLayout, OocArray};
 use iosim_machine::{presets, Interface, MachineConfig};
 
-use crate::common::{
-    run_ranks, run_ranks_sharded, AppCtx, RankFuture, RunResult, ShardFinish, ShardProgram,
-};
+use crate::common::{run_ranks, AppCtx, RunResult};
 use crate::dsp;
 
 /// Complex element size (two little-endian `f64`s).
@@ -128,29 +126,6 @@ pub fn run(cfg: &FftConfig) -> RunResult {
             rank_program(ctx, cfg).await;
         })
     })
-}
-
-/// Run the FFT on the sharded parallel engine: the machine is partitioned
-/// along its topology and executed by up to `workers` host threads
-/// ([`crate::common::run_ranks_sharded`]). Timing-only mode — the
-/// functional (`stored`) checks verify cross-rank file contents, which a
-/// partitioned file system does not carry.
-pub fn run_threaded(cfg: &FftConfig, workers: usize) -> RunResult {
-    assert!(!cfg.stored, "sharded runs are timing-only");
-    let cfg2 = cfg.clone();
-    let (res, _) = run_ranks_sharded(cfg.machine(), cfg.procs, workers, move |_spec| {
-        let cfg = cfg2.clone();
-        (
-            Box::new(move |ctx: AppCtx| -> RankFuture {
-                let cfg = cfg.clone();
-                Box::pin(async move {
-                    rank_program(ctx, cfg).await;
-                })
-            }) as ShardProgram,
-            Box::new(|| ()) as ShardFinish<()>,
-        )
-    });
-    res
 }
 
 async fn open_arrays(ctx: &AppCtx, cfg: &FftConfig) -> (OocArray, OocArray) {

@@ -16,12 +16,16 @@
 //!
 //! | workload | cache | depth | aggregators | interface | stripe | I/O nodes | threads |
 //! |---|---|---|---|---|---|---|---|
-//! | `scf11` | ✓ | ✓ | — | ✓ (selects code version) | ✓ | ✓ | ✓ |
-//! | `scf30` | ✓ | ✓ | — | — | — | ✓ | ✓ |
-//! | `fft`   | ✓ | ✓ | — | — | — | ✓ | ✓ |
-//! | `btio`  | ✓ | ✓ | ✓ (>0 = two-phase) | — | — | ✓ | ✓ |
-//! | `ast`   | ✓ | ✓ | ✓ (>0 = two-phase) | — | — | ✓ | ✓ |
+//! | `scf11` | ✓ | ✓ | — | ✓ (selects code version) | ✓ | ✓ | — |
+//! | `scf30` | ✓ | ✓ | — | — | — | ✓ | — |
+//! | `fft`   | ✓ | ✓ | — | — | — | ✓ | — |
+//! | `btio`  | ✓ | ✓ | ✓ (>0 = two-phase) | — | — | ✓ | — |
+//! | `ast`   | ✓ | ✓ | ✓ (>0 = two-phase) | — | — | ✓ | — |
 //! | `synth` | ✓ | ✓ | ✓ (two-phase window) | ✓ (PASSION = list-I/O) | ✓ | ✓ | ✓ |
+//!
+//! The five applications always run on the monolithic engine, as the
+//! paper ran them on one machine; only the open-loop generator has a
+//! sharded path (`threads > 1`).
 //!
 //! The `scale` argument is the advisor's *fidelity* axis in `(0, 1]`:
 //! 1.0 is the full evaluation (the same small-but-real configurations
@@ -130,10 +134,11 @@ fn scf11_version(i: Interface) -> scf11::Scf11Version {
 ///
 /// `hints` should be canonical (the advisor canonicalizes at admission);
 /// non-canonical but valid hints evaluate identically to their canonical
-/// form because every knob is consumed post-canonicalization. Sharded
-/// runs (`threads > 1`) use the conservative-lookahead engine, whose
-/// virtual times are identical at every *worker* count — the thread hint
-/// is a model choice (monolithic vs sharded), not a nondeterminism knob.
+/// form because every knob is consumed post-canonicalization. Only
+/// `synth` reads the thread hint: `threads > 1` runs it on the
+/// conservative-lookahead engine, whose virtual times are identical at
+/// every *worker* count — the hint is a model choice (monolithic vs
+/// sharded), not a nondeterminism knob.
 ///
 /// # Panics
 /// Panics on an unknown workload name or a fidelity outside `(0, 1]`.
@@ -152,11 +157,7 @@ pub fn run_hinted(workload: &str, hints: &Hints, scale: f64) -> RunSummary {
                 scale: 0.02 * scale,
                 ..scf11::Scf11Config::new(scf11::ScfInput::Small, scf11_version(h.interface))
             };
-            if h.threads > 1 {
-                scf11::run_threaded(&cfg, h.threads).run
-            } else {
-                scf11::run(&cfg).run
-            }
+            scf11::run(&cfg).run
         }
         "scf30" => {
             let cfg = scf30::Scf30Config {
@@ -166,11 +167,7 @@ pub fn run_hinted(workload: &str, hints: &Hints, scale: f64) -> RunSummary {
                 scale: 0.02 * scale,
                 ..scf30::Scf30Config::new(scf11::ScfInput::Small, 8, 75)
             };
-            if h.threads > 1 {
-                scf30::run_threaded(&cfg, h.threads).run
-            } else {
-                scf30::run(&cfg).run
-            }
+            scf30::run(&cfg).run
         }
         "fft" => {
             let cfg = fft::FftConfig {
@@ -179,11 +176,7 @@ pub fn run_hinted(workload: &str, hints: &Hints, scale: f64) -> RunSummary {
                 queue_depth: h.io_queue_depth,
                 ..fft::FftConfig::new(fft_n(scale), 4, true)
             };
-            if h.threads > 1 {
-                fft::run_threaded(&cfg, h.threads)
-            } else {
-                fft::run(&cfg)
-            }
+            fft::run(&cfg)
         }
         "btio" => {
             let cfg = btio::BtioConfig {
@@ -193,11 +186,7 @@ pub fn run_hinted(workload: &str, hints: &Hints, scale: f64) -> RunSummary {
                 queue_depth: h.io_queue_depth,
                 ..btio::BtioConfig::new(btio::BtClass::Custom(16), 9, h.aggregators > 0)
             };
-            if h.threads > 1 {
-                btio::run_threaded(&cfg, h.threads)
-            } else {
-                btio::run(&cfg)
-            }
+            btio::run(&cfg)
         }
         "ast" => {
             let cfg = ast::AstConfig {
@@ -208,11 +197,7 @@ pub fn run_hinted(workload: &str, hints: &Hints, scale: f64) -> RunSummary {
                 queue_depth: h.io_queue_depth,
                 ..ast::AstConfig::new(4, h.io_nodes, h.aggregators > 0)
             };
-            if h.threads > 1 {
-                ast::run_threaded(&cfg, h.threads)
-            } else {
-                ast::run(&cfg)
-            }
+            ast::run(&cfg)
         }
         "synth" => return run_hinted_synth(&h, scale),
         other => panic!("unknown advisable workload {other:?}"),
@@ -308,6 +293,22 @@ mod tests {
         let coarse = run_hinted("btio", &h, 0.5);
         assert!(coarse.io_bytes < full.io_bytes);
         assert!(coarse.exec_ns < full.exec_ns);
+    }
+
+    #[test]
+    fn apps_ignore_the_thread_hint() {
+        let serial = Hints::default();
+        let wide = Hints {
+            threads: 4,
+            ..serial
+        };
+        for w in ["scf11", "scf30", "fft", "btio", "ast"] {
+            assert_eq!(
+                run_hinted(w, &wide, 0.25),
+                run_hinted(w, &serial, 0.25),
+                "{w} changed model under threads = 4"
+            );
+        }
     }
 
     #[test]

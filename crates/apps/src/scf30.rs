@@ -25,9 +25,7 @@ use iosim_machine::{presets, Interface};
 use iosim_msg::{MatchSrc, Payload};
 use iosim_pfs::{CreateOptions, IoRequest};
 
-use crate::common::{
-    run_ranks, run_ranks_sharded, AppCtx, RankFuture, RunResult, ShardFinish, ShardProgram,
-};
+use crate::common::{run_ranks, AppCtx, RunResult};
 use crate::scf11::{integral_volume, total_flops, ScfInput};
 
 /// SCF 3.0 configuration.
@@ -129,31 +127,6 @@ pub fn run(cfg: &Scf30Config) -> Scf30Result {
     Scf30Result { run, balance_moved }
 }
 
-/// Run SCF 3.0 on the sharded parallel engine (up to `workers` host
-/// threads; see [`crate::common::run_ranks_sharded`]). File balancing
-/// runs within each shard's rank group rather than globally.
-pub fn run_threaded(cfg: &Scf30Config, workers: usize) -> Scf30Result {
-    let cfg2 = cfg.clone();
-    let (run, moved) = run_ranks_sharded(machine(cfg), cfg.procs, workers, move |_spec| {
-        let cfg = cfg2.clone();
-        let moved: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
-        let moved2 = Rc::clone(&moved);
-        (
-            Box::new(move |ctx: AppCtx| -> RankFuture {
-                let cfg = cfg.clone();
-                let moved = Rc::clone(&moved2);
-                Box::pin(async move {
-                    let m = rank_program(ctx, cfg).await;
-                    *moved.borrow_mut() += m;
-                })
-            }) as ShardProgram,
-            Box::new(move || *moved.borrow()) as ShardFinish<u64>,
-        )
-    });
-    let balance_moved = moved.into_iter().sum();
-    Scf30Result { run, balance_moved }
-}
-
 /// One process's program; returns bytes it shipped during balancing.
 async fn rank_program(ctx: AppCtx, cfg: Scf30Config) -> u64 {
     let p = cfg.procs;
@@ -208,10 +181,6 @@ async fn rank_program(ctx: AppCtx, cfg: Scf30Config) -> u64 {
             .into_iter()
             .map(|pl| u64::from_le_bytes(pl.into_bytes().try_into().expect("8 bytes")))
             .collect();
-        // `allgather` (and the balance plan's indices) are group-local:
-        // under the sharded engine each shard balances within its own
-        // rank group, so use the communicator's size and rank here. In a
-        // monolithic run the group is the whole job and this is identical.
         let lrank = ctx.comm.rank();
         let mean = sizes.iter().sum::<u64>() as f64 / sizes.len() as f64;
         let moves = plan_balance(

@@ -1060,10 +1060,10 @@ pub fn ext_overload(scale: f64) -> ExperimentReport {
 /// Host-thread ladder of the shard-scaling ablation (extension 11).
 pub const SHARD_THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Workloads of the shard-scaling ablation, in report order: two
-/// multi-I/O-node applications and an ext10-style open-loop overload
-/// replay.
-pub const SHARD_SCALING_NAMES: [&str; 3] = ["fft", "btio", "openloop_overload"];
+/// Workloads of the shard-scaling ablation: an ext10-style open-loop
+/// overload replay. The five applications always run monolithic, so
+/// the open-loop generator is the ladder's only sharded workload.
+pub const SHARD_SCALING_NAMES: [&str; 1] = ["openloop_overload"];
 
 /// One measured cell of the shard-scaling ablation.
 #[derive(Clone, Copy, Debug)]
@@ -1081,20 +1081,6 @@ pub struct ShardRunSample {
     /// Combined schedule fingerprint — must be identical across thread
     /// counts.
     pub fingerprint: u64,
-}
-
-fn shard_scaling_fft_cfg() -> iosim_apps::fft::FftConfig {
-    // 8 ranks over the small Paragon's 2 I/O nodes: a 2-shard plan.
-    iosim_apps::fft::FftConfig::new(256, 8, true)
-}
-
-fn shard_scaling_btio_cfg() -> iosim_apps::btio::BtioConfig {
-    use iosim_apps::btio::{BtClass, BtioConfig};
-    // 9 ranks on the SP-2's 4 I/O nodes: a 4-shard plan.
-    BtioConfig {
-        dumps: 2,
-        ..BtioConfig::new(BtClass::Custom(16), 9, false)
-    }
 }
 
 fn shard_scaling_synth() -> (iosim_workload::SynthSpec, iosim_workload::ReplaySpec) {
@@ -1115,27 +1101,8 @@ fn shard_scaling_synth() -> (iosim_workload::SynthSpec, iosim_workload::ReplaySp
 /// its schedule and throughput (shared by extension 11 and the
 /// `bench wallclock` `shard_scaling` section).
 pub fn run_shard_scaling_config(name: &str, threads: usize) -> ShardRunSample {
-    use iosim_apps::{btio, fft};
     use iosim_workload::run_open_loop_threaded;
     let (fingerprint, sim_events, virtual_exec_s, wall) = match name {
-        "fft" => {
-            let r = fft::run_threaded(&shard_scaling_fft_cfg(), threads);
-            (
-                r.sched_fingerprint,
-                r.sim_events,
-                r.exec_time.as_secs_f64(),
-                r.host_elapsed,
-            )
-        }
-        "btio" => {
-            let r = btio::run_threaded(&shard_scaling_btio_cfg(), threads);
-            (
-                r.sched_fingerprint,
-                r.sim_events,
-                r.exec_time.as_secs_f64(),
-                r.host_elapsed,
-            )
-        }
         "openloop_overload" => {
             let (synth, spec) = shard_scaling_synth();
             let r = run_open_loop_threaded(&synth, &spec, threads);
@@ -1371,11 +1338,8 @@ pub fn run_replay_mem_scaling(smoke: bool) -> ReplayMemScaling {
 /// workload — differs from the sharded fingerprint exactly when the
 /// machine genuinely decomposed into more than one shard.
 fn shard_scaling_monolithic_fingerprint(name: &str) -> u64 {
-    use iosim_apps::{btio, fft};
     use iosim_workload::run_open_loop;
     match name {
-        "fft" => fft::run(&shard_scaling_fft_cfg()).sched_fingerprint,
-        "btio" => btio::run(&shard_scaling_btio_cfg()).sched_fingerprint,
         "openloop_overload" => {
             let (synth, spec) = shard_scaling_synth();
             run_open_loop(&synth, &spec).stats.sched_fingerprint
@@ -1385,12 +1349,12 @@ fn shard_scaling_monolithic_fingerprint(name: &str) -> u64 {
 }
 
 /// Extension 11: shard-scaling ablation. The sharded conservative-
-/// lookahead engine runs FFT (2 shards), BTIO (4 shards), and an
-/// ext10-style open-loop overload replay (2 shards) at 1, 2, 4, and 8
-/// host threads. The engine's contract is measured, not assumed: the
-/// combined schedule fingerprint and the virtual completion time must be
-/// bit-identical at every thread count (worker placement is invisible),
-/// while events/sec and wall time are free to scale with the host.
+/// lookahead engine runs an ext10-style open-loop overload replay
+/// (2 shards) at 1, 2, 4, and 8 host threads. The engine's contract is
+/// measured, not assumed: the combined schedule fingerprint and the
+/// virtual completion time must be bit-identical at every thread count
+/// (worker placement is invisible), while events/sec and wall time are
+/// free to scale with the host.
 /// Throughput ratios are honest measurements of *this* host — on a
 /// single-core container threads cannot speed anything up, and the
 /// report says so rather than faking a curve.
@@ -1468,8 +1432,8 @@ pub fn ext_shard_scaling(scale: f64) -> ExperimentReport {
         all_virtual_invariant,
     ));
     report.push(Comparison::claim(
-        "every multi-I/O-node workload genuinely decomposes into multiple shards",
-        "the sharded schedule differs from the monolithic oracle's on all three configs (extension)",
+        "the multi-I/O-node workload genuinely decomposes into multiple shards",
+        "the sharded schedule differs from the monolithic oracle's on the open-loop config (extension)",
         all_multi_shard,
     ));
     report

@@ -761,8 +761,8 @@ pub fn time_workload() -> Vec<WorkloadTiming> {
     out
 }
 
-/// Time extension 11's shard-scaling ladder: every workload at every
-/// host-thread count, in ladder order. Runs serially (not through
+/// Time extension 11's shard-scaling ladder: the open-loop workload at
+/// every host-thread count, in ladder order. Runs serially (not through
 /// `map_parallel`) so each sample's wall time is unpolluted by sibling
 /// simulations competing for the same cores.
 pub fn time_shard_scaling() -> Vec<ShardScalingSeries> {
@@ -1354,12 +1354,12 @@ fn check_count(v: Option<&Json>, what: &str) -> Result<f64, String> {
 /// `bench check` half of the struct-bench gate), all five apps, the
 /// data-plane byte accounting (counters present and non-trivial), the
 /// workload-subsystem section (sample-trace replays and an open-loop
-/// point, each with a non-empty latency histogram), the shard-scaling
-/// thread ladder (full ladder per workload, and a deterministic
-/// fingerprint: every thread count in a series must report the same
-/// one), the sharded-replay scaling section (full thread ladder per
-/// replay workload with a fingerprint-uniform ladder, adaptive round
-/// counts that never exceed the static ones, nonzero per-shard peak
+/// point, each with a non-empty latency histogram), the open-loop
+/// shard-scaling thread ladder (full ladder, and a deterministic
+/// fingerprint: every thread count must report the same one), the
+/// sharded-replay scaling section (full thread ladder per replay
+/// workload with a fingerprint-uniform ladder, adaptive round counts
+/// that never exceed the static ones, nonzero per-shard peak
 /// memory, and a `mem_10k` scale story where the wider decomposition
 /// shows the smaller worst-shard footprint), the `advisor` section
 /// (positive queries/sec in both arms, a

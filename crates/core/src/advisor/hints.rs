@@ -86,6 +86,8 @@ pub struct Hints {
     pub io_nodes: usize,
     /// Host threads for the sharded engine (0 means 1; virtual-time
     /// results of a sharded run are identical at every thread count).
+    /// Only the synthetic open-loop workload reads it; the five
+    /// applications always run monolithic.
     pub threads: usize,
 }
 

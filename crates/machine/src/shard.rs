@@ -16,9 +16,10 @@ use iosim_simkit::time::SimDuration;
 /// Lower bound on the engine lookahead used by sharded runs. The
 /// machine-derived lookahead (tens of µs on the 1990s presets) is sound
 /// but forces a synchronization round every few events; widening the
-/// window only delays cross-shard barrier signals — which the engine
-/// charges as barrier skew anyway — so a modest floor trades a little
-/// modelled barrier latency for an order of magnitude fewer rounds.
+/// window only delays cross-shard dependency tokens, which travel one
+/// lookahead ahead of their send time anyway, so a modest floor trades a
+/// little modelled dependency latency for an order of magnitude fewer
+/// rounds.
 pub const LOOKAHEAD_FLOOR: SimDuration = SimDuration(200_000); // 200 µs
 
 /// One shard of the machine: a contiguous compute-rank group and an

@@ -12,11 +12,6 @@ use crate::comm::{Comm, MatchSrc, Payload};
 impl Comm {
     /// Synchronize all ranks. Completes everywhere once every rank has
     /// arrived (gather-to-0 then broadcast of an empty token).
-    ///
-    /// When this world is one shard of a sharded run, rank 0 additionally
-    /// rendezvouses with the other shards through the attached
-    /// [`crate::shardlink::ShardLink`] between the gather and the release,
-    /// making the barrier global across shards.
     pub async fn barrier(&self) {
         let t1 = self.next_coll_tag();
         let t2 = self.next_coll_tag();
@@ -24,9 +19,6 @@ impl Comm {
         if self.rank() == 0 {
             for _ in 1..n {
                 self.recv(MatchSrc::Any, t1).await;
-            }
-            if let Some(link) = self.world().shard_link() {
-                link.barrier().await;
             }
             for dst in 1..n {
                 self.send(dst, t2, Payload::empty()).await;

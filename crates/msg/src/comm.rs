@@ -86,9 +86,6 @@ struct Mailbox {
 struct WorldInner {
     machine: Rc<Machine>,
     mailboxes: Vec<RefCell<Mailbox>>,
-    /// Set when this world is one shard of a sharded run: global
-    /// collectives rendezvous with the other shards through this link.
-    shard_link: RefCell<Option<crate::shardlink::ShardLink>>,
 }
 
 /// The communication world: `size` ranks on one machine.
@@ -116,21 +113,9 @@ impl World {
                 mailboxes: (0..size)
                     .map(|_| RefCell::new(Mailbox::default()))
                     .collect(),
-                shard_link: RefCell::new(None),
             }),
             size,
         }
-    }
-
-    /// Attach the cross-shard barrier link (sharded runs only). Global
-    /// collectives on this world will rendezvous with the other shards.
-    pub fn set_shard_link(&self, link: crate::shardlink::ShardLink) {
-        *self.inner.shard_link.borrow_mut() = Some(link);
-    }
-
-    /// The attached cross-shard link, if any.
-    pub fn shard_link(&self) -> Option<crate::shardlink::ShardLink> {
-        self.inner.shard_link.borrow().clone()
     }
 
     /// Number of ranks.
@@ -186,11 +171,6 @@ impl Comm {
     /// The underlying machine.
     pub fn machine(&self) -> &Rc<Machine> {
         self.world.machine()
-    }
-
-    /// The world.
-    pub fn world(&self) -> &World {
-        &self.world
     }
 
     /// Send `payload` to `dst` with `tag`.

@@ -1,46 +1,29 @@
-//! Cross-shard synchronization link for the sharded parallel engine.
+//! Cross-shard dependency link for the sharded parallel engine.
 //!
-//! When a run is partitioned into shards (`iosim_simkit::shard`), each
-//! shard simulates its own rank group on its own [`crate::World`]. Global
-//! collectives then need a cross-shard rendezvous: the local rank 0 of
-//! every shard enters the [`ShardLink`] barrier, which broadcasts an
-//! arrival signal through the engine's conservative mailboxes and waits
-//! for every other shard's arrival. Signals travel with the engine
-//! lookahead as their latency — the cheapest cross-shard network
-//! traversal — so a global barrier costs one lookahead of virtual time on
-//! top of the slowest shard, the same skew a monolithic simulation would
-//! charge for the release messages.
-//!
-//! Epochs align because the applications are SPMD: every shard's rank 0
-//! reaches its `k`-th global barrier in the same call order, so the
-//! `k`-th arrival signals of all shards pair up deterministically.
+//! When a trace replay is partitioned into shards (`iosim_simkit::shard`),
+//! each shard simulates its own rank group on its own [`crate::World`].
+//! A `<-dep` edge whose endpoints land on different shards becomes a
+//! completion notification: the shard that finishes the labelled op
+//! sends a [`ShardSignal::DepToken`] through the engine's conservative
+//! mailboxes, and the waiting shard's handler releases its waiters when
+//! the token is delivered. Tokens travel with the engine lookahead as
+//! their latency — the cheapest cross-shard network traversal.
 
-use std::cell::{Cell, RefCell};
-use std::future::Future;
-use std::pin::Pin;
+use std::cell::RefCell;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
 
 use iosim_simkit::executor::SimHandle;
-use iosim_simkit::hash::FxHashMap;
 use iosim_simkit::shard::Outbox;
 use iosim_simkit::time::SimDuration;
 
 /// Signal exchanged between shards through the engine mailboxes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardSignal {
-    /// Shard `shard` has entered its `epoch`-th global barrier.
-    Arrive {
-        /// Sending shard index.
-        shard: usize,
-        /// Barrier sequence number on the sender.
-        epoch: u64,
-    },
     /// A labelled operation completed on another shard: the
     /// completion-notification channel for cross-shard dependency edges
     /// (trace-replay `<-dep` edges whose waiters live on foreign shards).
-    /// Tokens travel through the same mailboxes as arrivals, so they are
-    /// delivered in the engine's `(deliver_at, src, seq)` total order.
+    /// Tokens are delivered in the engine's `(deliver_at, src, seq)`
+    /// total order.
     DepToken {
         /// Identifier of the completed operation (the replay engine uses
         /// the op's index in the trace stream).
@@ -57,18 +40,13 @@ struct LinkInner {
     shards: usize,
     lookahead: SimDuration,
     outbox: Outbox<ShardSignal>,
-    /// Remote arrivals per epoch, pruned once the epoch completes.
-    /// Point lookups only — barrier decisions never iterate the map.
-    arrived: RefCell<FxHashMap<u64, usize>>,
-    wakers: RefCell<Vec<Waker>>,
-    /// Next barrier epoch on this shard.
-    epoch: Cell<u64>,
     /// Handler for incoming dependency tokens (set by the replay engine;
     /// unset tokens are a protocol error).
     dep_handler: RefCell<Option<DepHandler>>,
 }
 
-/// One shard's endpoint of the cross-shard barrier. Clones share state.
+/// One shard's endpoint of the cross-shard dependency link. Clones share
+/// state.
 #[derive(Clone)]
 pub struct ShardLink {
     inner: Rc<LinkInner>,
@@ -92,41 +70,19 @@ impl ShardLink {
                 shards,
                 lookahead,
                 outbox,
-                arrived: RefCell::new(FxHashMap::default()),
-                wakers: RefCell::new(Vec::new()),
-                epoch: Cell::new(0),
                 dep_handler: RefCell::new(None),
             }),
         }
     }
 
-    /// This shard's index.
-    pub fn shard(&self) -> usize {
-        self.inner.shard
-    }
-
-    /// Total shard count.
-    pub fn shards(&self) -> usize {
-        self.inner.shards
-    }
-
     /// Feed an incoming signal from the engine's deliver hook.
     pub fn deliver(&self, sig: ShardSignal) {
-        match sig {
-            ShardSignal::Arrive { epoch, .. } => {
-                *self.inner.arrived.borrow_mut().entry(epoch).or_insert(0) += 1;
-                for w in self.inner.wakers.borrow_mut().drain(..) {
-                    w.wake();
-                }
-            }
-            ShardSignal::DepToken { op } => {
-                let mut handler = self.inner.dep_handler.borrow_mut();
-                let handler = handler
-                    .as_mut()
-                    .expect("DepToken delivered to a shard with no dep handler");
-                handler(op);
-            }
-        }
+        let ShardSignal::DepToken { op } = sig;
+        let mut handler = self.inner.dep_handler.borrow_mut();
+        let handler = handler
+            .as_mut()
+            .expect("DepToken delivered to a shard with no dep handler");
+        handler(op);
     }
 
     /// Register the handler invoked (at delivery time, in the engine's
@@ -147,58 +103,6 @@ impl ShardLink {
             .outbox
             .send(dst, at, ShardSignal::DepToken { op });
     }
-
-    /// Enter the next global barrier: broadcast this shard's arrival and
-    /// wait (in virtual time) for every other shard's matching arrival.
-    /// Completes immediately when there is only one shard.
-    pub async fn barrier(&self) {
-        let epoch = self.inner.epoch.get();
-        self.inner.epoch.set(epoch + 1);
-        let at = self.inner.handle.now() + self.inner.lookahead;
-        for dst in 0..self.inner.shards {
-            if dst != self.inner.shard {
-                self.inner.outbox.send(
-                    dst,
-                    at,
-                    ShardSignal::Arrive {
-                        shard: self.inner.shard,
-                        epoch,
-                    },
-                );
-            }
-        }
-        WaitEpoch {
-            link: Rc::clone(&self.inner),
-            epoch,
-        }
-        .await;
-        self.inner.arrived.borrow_mut().remove(&epoch);
-    }
-}
-
-struct WaitEpoch {
-    link: Rc<LinkInner>,
-    epoch: u64,
-}
-
-impl Future for WaitEpoch {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let need = self.link.shards - 1;
-        let have = self
-            .link
-            .arrived
-            .borrow()
-            .get(&self.epoch)
-            .copied()
-            .unwrap_or(0);
-        if have >= need {
-            Poll::Ready(())
-        } else {
-            self.link.wakers.borrow_mut().push(cx.waker().clone());
-            Poll::Pending
-        }
-    }
 }
 
 #[cfg(test)]
@@ -209,74 +113,6 @@ mod tests {
     use iosim_simkit::time::SimTime;
 
     const L: SimDuration = SimDuration(50_000); // 50 µs
-
-    fn shard_body(ctx: ShardCtx<ShardSignal>, rounds: usize) -> ShardRuntime<ShardSignal, SimTime> {
-        let sim = Sim::new();
-        let h = sim.handle();
-        let link = ShardLink::new(h.clone(), ctx.index, ctx.shards, ctx.lookahead, ctx.outbox);
-        let l2 = link.clone();
-        // Shards do unequal local work before each barrier; the barrier
-        // must still line them up.
-        let work = SimDuration::from_micros(10 * (ctx.index as u64 + 1));
-        sim.spawn(async move {
-            for _ in 0..rounds {
-                h.sleep(work).await;
-                l2.barrier().await;
-            }
-        });
-        let h2 = sim.handle();
-        ShardRuntime {
-            sim,
-            deliver: Box::new(move |sig| link.deliver(sig)),
-            finish: Box::new(move || h2.now()),
-        }
-    }
-
-    #[test]
-    fn barriers_line_up_unequal_shards() {
-        const ROUNDS: usize = 5;
-        let report = run_sharded(
-            L,
-            2,
-            vec![|ctx| shard_body(ctx, ROUNDS), |ctx| shard_body(ctx, ROUNDS)],
-        );
-        // A shard exits each barrier when the *other* shard's arrival
-        // signal lands (entry + L), like an MPI barrier: exit times are
-        // per-rank, not globally equal. Hand trace with work = 10/20 µs:
-        //   r1: s0 enters @10 (arr @60), s1 @20 (arr @70) → exits 70/60
-        //   r2: both enter @80 (arr @130)                 → exits 130/130
-        //   r3: enters 140/150 (arr 190/200)              → exits 200/190
-        //   r4: both enter @210 (arr @260)                → exits 260/260
-        //   r5: enters 270/280 (arr 320/330)              → exits 330/320
-        let us = |t: u64| SimTime::ZERO + SimDuration::from_micros(t);
-        assert_eq!(report.results, vec![us(330), us(320)]);
-        // Neither shard can exit a barrier before the other entered it +
-        // the lookahead: the conservative window is respected.
-        assert!(report.end_time >= SimTime::ZERO + L * ROUNDS as u64);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_barrier_timing() {
-        const ROUNDS: usize = 7;
-        let runs: Vec<_> = [1usize, 2, 3]
-            .iter()
-            .map(|&w| {
-                run_sharded(
-                    L,
-                    w,
-                    vec![
-                        |ctx| shard_body(ctx, ROUNDS),
-                        |ctx| shard_body(ctx, ROUNDS),
-                        |ctx| shard_body(ctx, ROUNDS),
-                    ],
-                )
-            })
-            .collect();
-        assert_eq!(runs[0].results, runs[1].results);
-        assert_eq!(runs[0].results, runs[2].results);
-        assert_eq!(runs[0].fingerprint, runs[1].fingerprint);
-        assert_eq!(runs[0].fingerprint, runs[2].fingerprint);
-    }
 
     #[test]
     fn dep_tokens_deliver_in_order_with_latency() {
@@ -331,32 +167,5 @@ mod tests {
         assert_eq!(a.results[1], vec![(us(60), 3), (us(70), 1), (us(80), 2)]);
         assert_eq!(a.results, b.results);
         assert_eq!(a.fingerprint, b.fingerprint);
-    }
-
-    #[test]
-    fn single_shard_barrier_is_free() {
-        let report = run_sharded(
-            L,
-            1,
-            vec![|ctx: ShardCtx<ShardSignal>| {
-                let sim = Sim::new();
-                let h = sim.handle();
-                let link =
-                    ShardLink::new(h.clone(), ctx.index, ctx.shards, ctx.lookahead, ctx.outbox);
-                let l2 = link.clone();
-                sim.spawn(async move {
-                    for _ in 0..3 {
-                        l2.barrier().await;
-                    }
-                });
-                let h2 = sim.handle();
-                ShardRuntime {
-                    sim,
-                    deliver: Box::new(move |sig| link.deliver(sig)),
-                    finish: Box::new(move || h2.now()),
-                }
-            }],
-        );
-        assert_eq!(report.results, vec![SimTime::ZERO]);
     }
 }

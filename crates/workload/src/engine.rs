@@ -837,10 +837,10 @@ fn replay_shard_footprint(
 }
 
 /// Sharded variant of [`replay`]: partition the replayed ranks along the
-/// machine's topology ([`iosim_machine::shard::plan`] — exactly like the
-/// in-tree applications) and replay each shard's rank group, with its
-/// slice of the I/O nodes and its own file system, on its own executor,
-/// run by up to `workers` host threads.
+/// machine's topology ([`iosim_machine::shard::plan`], the same plan
+/// the open-loop generator uses) and replay each shard's rank group,
+/// with its slice of the I/O nodes and its own file system, on its own
+/// executor, run by up to `workers` host threads.
 ///
 /// Cross-rank dependency edges that cross a shard boundary become
 /// completion-notification *dep tokens* on the shard-link mailboxes:

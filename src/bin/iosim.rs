@@ -34,6 +34,9 @@ fn main() {
         _ => {}
     }
     let result = match app.as_str() {
+        "scf11" | "scf30" | "fft" | "btio" | "ast" if opts.flag("threads") => die(&format!(
+            "--threads applies only to replay and synth; {app} runs on the monolithic engine"
+        )),
         "scf11" => run_scf11(&opts),
         "scf30" => run_scf30(&opts),
         "fft" => run_fft(&opts),
@@ -94,13 +97,15 @@ fn check_machine(cfg: &iosim::machine::MachineConfig, what: &str) {
     }
 }
 
-/// `--threads N` selects the sharded parallel engine with N host
-/// workers; without the flag, the `IOSIM_THREADS` environment pin (the
-/// same override the bench sweeps honor) is consulted, and with neither
-/// the original monolithic engine runs. The sharded engine partitions
-/// the machine along I/O-node boundaries, so its virtual times are
+/// `--threads N` runs `replay` and `synth` on the sharded parallel
+/// engine with N host workers (and sizes the `sweep`/`advise` fan-out);
+/// without the flag, the `IOSIM_THREADS` environment pin (the same
+/// override the bench sweeps honor) is consulted, and with neither the
+/// original monolithic engine runs. The sharded engine partitions the
+/// machine along I/O-node boundaries, so its virtual times are
 /// bit-identical for every N >= 1 — but they are a different (shard-
-/// partitioned) model than the monolithic engine's.
+/// partitioned) model than the monolithic engine's. The five
+/// applications always run monolithic.
 fn threads(o: &Opts) -> Option<usize> {
     if o.0.contains_key("threads") {
         return Some(o.get("threads", 1).max(1));
@@ -164,10 +169,7 @@ fn run_scf11(o: &Opts) -> RunResult {
         version,
         cfg.tuple()
     );
-    let r = match threads(o) {
-        Some(t) => scf11::run_threaded(&cfg, t),
-        None => scf11::run(&cfg),
-    };
+    let r = scf11::run(&cfg);
     eprintln!("foreground I/O time: {}", r.fg_io_time);
     r.run
 }
@@ -191,10 +193,7 @@ fn run_scf30(o: &Opts) -> RunResult {
         "SCF 3.0 MEDIUM {}% cached, {} procs, {} I/O nodes",
         cfg.cached_percent, cfg.procs, cfg.io_nodes
     );
-    let r = match threads(o) {
-        Some(t) => scf30::run_threaded(&cfg, t),
-        None => scf30::run(&cfg),
-    };
+    let r = scf30::run(&cfg);
     eprintln!("balance moved: {} KB", r.balance_moved / 1024);
     r.run
 }
@@ -214,10 +213,7 @@ fn run_fft(o: &Opts) -> RunResult {
         "2-D out-of-core FFT {}x{} complex, {} procs, {} I/O nodes, optimized={}",
         cfg.n, cfg.n, cfg.procs, cfg.io_nodes, cfg.optimized
     );
-    match threads(o) {
-        Some(t) => fft::run_threaded(&cfg, t),
-        None => fft::run(&cfg),
-    }
+    fft::run(&cfg)
 }
 
 fn run_btio(o: &Opts) -> RunResult {
@@ -248,10 +244,7 @@ fn run_btio(o: &Opts) -> RunResult {
         cfg.dumps,
         cfg.optimized
     );
-    match threads(o) {
-        Some(t) => btio::run_threaded(&cfg, t),
-        None => btio::run(&cfg),
-    }
+    btio::run(&cfg)
 }
 
 fn run_ast(o: &Opts) -> RunResult {
@@ -273,10 +266,7 @@ fn run_ast(o: &Opts) -> RunResult {
         "AST {}x{} grid, {} arrays, {} procs, {} I/O nodes, optimized={}",
         cfg.grid, cfg.grid, cfg.arrays, cfg.procs, cfg.io_nodes, cfg.optimized
     );
-    match threads(o) {
-        Some(t) => ast::run_threaded(&cfg, t),
-        None => ast::run(&cfg),
-    }
+    ast::run(&cfg)
 }
 
 fn machine_preset(o: &Opts) -> iosim::machine::MachineConfig {
@@ -629,8 +619,6 @@ fn usage() {
          common flags: --procs N --io-nodes N --scale X --optimized\n\
          \x20             --cache MB   per-I/O-node LRU buffer cache (0 = off, the default)\n\
          \x20             --queue-depth N   I/O-node command-queue depth (1 = FIFO, the default)\n\
-         \x20             --threads N  host threads for the sharded engine (default: $IOSIM_THREADS, else 1);\n\
-         \x20                          virtual times and fingerprints are identical at any thread count\n\
          scf11: --input small|medium|large --version original|passion|prefetch --mem-kb N --stripe-kb N\n\
          scf30: --cached PCT --unbalanced --no-prefetch\n\
          fft:   --n N --mem-mb N\n\
@@ -641,7 +629,9 @@ fn usage() {
          \x20       trace formats: legacy 4-column, #iosim opstream, #iosim darshan (auto-detected)\n\
          synth: --clients N --rate R [--bursty --mean-on S --mean-off S] --duration S\n\
          \x20      --read-frac F --op-kb N --fragments N --files N --file-mb N --seed N\n\
-         \x20      [--mode direct|list|twophase] [--batch N] [--cache MB] [--queue-depth N]\n\
+         \x20      [--mode direct|list|twophase] [--batch N] [--cache MB] [--queue-depth N] [--threads N]\n\
+         replay/synth --threads N: host threads for the sharded engine (default: $IOSIM_THREADS, else 1);\n\
+         \x20      virtual times and fingerprints are identical at any thread count\n\
          sweep: --workload scf11|scf30|fft|btio|ast|synth + comma-list knobs\n\
          \x20      --cache A,B --queue-depth A,B --agg A,B --interface fortran,unix,passion\n\
          \x20      --stripe-kb A,B --io-nodes A,B --threads-hint A,B\n\

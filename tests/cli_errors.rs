@@ -55,6 +55,11 @@ fn bad_application_flags_exit_2() {
         (&["scf30", "--cached", "101"], "--cached"),
         (&["synth", "--clients", "0"], "--clients"),
         (&["synth", "--read-frac", "2"], "--read-frac"),
+        (&["scf11", "--threads", "2"], "--threads"),
+        (&["scf30", "--threads", "2"], "--threads"),
+        (&["fft", "--threads", "2"], "--threads"),
+        (&["btio", "--threads", "2"], "--threads"),
+        (&["ast", "--threads", "2"], "--threads"),
         (&["nosuchapp"], "unknown application"),
     ];
     for (args, needle) in cases {

@@ -1,7 +1,7 @@
-//! Cross-thread determinism stress suite for sharded trace replay.
+//! Cross-thread determinism stress suite for the sharded engine's two
+//! entry points: trace replay and the open-loop generator.
 //!
-//! The contract mirrors the app suite (`tests/shard_determinism.rs`)
-//! and DESIGN.md §18's partitioned-model caveat: the shard
+//! The contract follows DESIGN.md §18's partitioned-model caveat: the shard
 //! decomposition is fixed by the machine topology, so every worker
 //! count must produce bit-identical virtual times, latency
 //! distributions, and schedule fingerprints — and a degenerate plan
@@ -18,9 +18,11 @@
 
 use iosim::machine::presets;
 use iosim::machine::MachineConfig;
+use iosim::simkit::time::SimDuration;
 use iosim::workload::{
-    parse_any, replay, replay_threaded, replay_threaded_static, OpStream, ReplayMode, ReplayReport,
-    ReplaySpec,
+    parse_any, replay, replay_threaded, replay_threaded_static, run_open_loop,
+    run_open_loop_threaded, OpStream, OpenLoopReport, ReplayMode, ReplayReport, ReplaySpec,
+    SynthSpec,
 };
 
 const REPS: usize = 3;
@@ -197,4 +199,89 @@ fn sharded_replay_accounts_per_shard_memory() {
         wide.stats.shard_mem.peak,
         narrow.stats.shard_mem.peak
     );
+}
+
+/// The ext10 overload population at a mid-ladder rate: 24 clients on the
+/// small Paragon's 2 I/O nodes, a 2-shard plan.
+fn overload_synth() -> SynthSpec {
+    let mut synth = SynthSpec::small(4.0, 4242);
+    synth.clients = 24;
+    synth.duration = SimDuration::from_secs_f64(2.0);
+    synth.op_bytes = 32 << 10;
+    synth.fragments = 4;
+    synth.files = 2;
+    synth.file_bytes = 8 << 20;
+    synth
+}
+
+fn assert_open_loop_matches(tag: &str, r: &OpenLoopReport, oracle: &OpenLoopReport) {
+    assert_eq!(
+        r.stats.exec_time, oracle.stats.exec_time,
+        "{tag}: exec_time diverged from the oracle"
+    );
+    assert_eq!(r.stats.io_time, oracle.stats.io_time, "{tag}: io_time");
+    assert_eq!(
+        r.stats.cum_io_time, oracle.stats.cum_io_time,
+        "{tag}: cumulative io_time"
+    );
+    assert_eq!(r.stats.io_bytes, oracle.stats.io_bytes, "{tag}: io_bytes");
+    assert_eq!(r.stats.io_ops, oracle.stats.io_ops, "{tag}: io_ops");
+    assert_eq!(r.stats.sim_events, oracle.stats.sim_events, "{tag}: polls");
+    assert_eq!(
+        r.stats.sched_fingerprint, oracle.stats.sched_fingerprint,
+        "{tag}: schedule fingerprint"
+    );
+    assert_eq!(
+        r.latency.render_line(),
+        oracle.latency.render_line(),
+        "{tag}: latency distribution"
+    );
+    assert_eq!(r.offered_ops, oracle.offered_ops, "{tag}: offered ops");
+    assert_eq!(
+        r.completed_ops, oracle.completed_ops,
+        "{tag}: completed ops"
+    );
+}
+
+#[test]
+fn open_loop_is_worker_count_invariant() {
+    let synth = overload_synth();
+    for (mode_name, mode) in modes() {
+        let spec = spec_on(presets::paragon_small(), mode);
+        let oracle = run_open_loop_threaded(&synth, &spec, 1);
+        assert!(
+            oracle.stats.sync_rounds > 0,
+            "open-loop mode={mode_name}: population must actually shard on paragon-small"
+        );
+        for workers in WORKER_LADDER {
+            for rep in 0..REPS {
+                let tag = format!("open-loop mode={mode_name} workers={workers} rep={rep}");
+                let r = run_open_loop_threaded(&synth, &spec, workers);
+                assert_open_loop_matches(&tag, &r, &oracle);
+                assert_eq!(
+                    r.stats.sync_rounds, oracle.stats.sync_rounds,
+                    "{tag}: adaptive round count must be worker-count-invariant"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn degenerate_open_loop_plan_matches_the_monolithic_oracle_exactly() {
+    let synth = overload_synth();
+    for (mode_name, mode) in modes() {
+        let machine = presets::paragon_small().with_io_nodes(1);
+        let oracle = run_open_loop(&synth, &spec_on(machine.clone(), mode));
+        for workers in [1, 2, 4] {
+            let r = run_open_loop_threaded(&synth, &spec_on(machine.clone(), mode), workers);
+            let tag = format!("open-loop mode={mode_name} workers={workers} (degenerate)");
+            assert_open_loop_matches(&tag, &r, &oracle);
+            assert_eq!(
+                r.stats.sync_rounds, 0,
+                "{tag}: degenerate plan must not shard"
+            );
+            assert!(r.stats.shard_mem.is_empty(), "{tag}: no shard accounting");
+        }
+    }
 }

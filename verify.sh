@@ -23,19 +23,11 @@ echo "== workspace tests =="
 cargo test -q --offline --workspace
 
 echo "== sharded engine determinism (IOSIM_THREADS=1 and =4) =="
-# The parallel engine must produce bit-identical virtual times and
-# schedule fingerprints at any worker count. Run the scheduler snapshot
-# suite with the sharded path pinned serial and pinned to four real
-# threads; both must match the committed oracles.
-IOSIM_THREADS=1 cargo test -q --offline --test sched_determinism
-IOSIM_THREADS=4 cargo test -q --offline --test sched_determinism
-
-echo "== sharded replay determinism (IOSIM_THREADS=1 and =4) =="
-# Trace replay under the sharded engine: virtual times, fingerprints
-# and latency distributions must be bit-identical at any worker count,
-# cross-shard dep tokens included; degenerate plans must match the
-# monolithic engine exactly. Run under both thread pins like the
-# scheduler suite above.
+# Trace replay and the open-loop generator under the sharded engine:
+# virtual times, fingerprints and latency distributions must be
+# bit-identical at any worker count, cross-shard dep tokens included;
+# degenerate plans must match the monolithic engine exactly. Run with
+# the thread pin serial and at four real threads.
 IOSIM_THREADS=1 cargo test -q --offline --test replay_shard_determinism
 IOSIM_THREADS=4 cargo test -q --offline --test replay_shard_determinism
 
@@ -85,9 +77,9 @@ echo "== bench wallclock smoke =="
 # — wall-clock timings are machine-dependent and never fail the build,
 # but `bench check` does fail on NaN/negative wall times, non-integer
 # counters, a missing data_plane/workload/struct_ops/advisor section,
-# a replay_shard_scaling ladder whose fingerprints diverge across
-# thread counts, an adaptive round count above the static one, a zero
-# per-shard memory peak, a mem_10k story where the wide decomposition
+# an open-loop shard_scaling or replay_shard_scaling ladder whose
+# fingerprints diverge across thread counts, an adaptive round count
+# above the static one, a zero per-shard memory peak, a mem_10k story where the wide decomposition
 # does not shrink the worst shard,
 # an advisor hit rate outside [0,1], a halving winner that disagrees
 # with exhaustive search, all-zero
