@@ -2,21 +2,15 @@
 //!
 //! ```text
 //! bench wallclock [--smoke] [--scale F] [--out PATH]
-//! bench structs [--smoke]
 //! bench check PATH
 //! ```
 //!
-//! `wallclock` runs the scheduler microbenchmarks (current executor vs the
-//! pre-rewrite Mutex+HashMap baseline), times the five applications and
-//! the full repro suite, prints a summary, and writes the report as JSON
+//! `wallclock` times the scheduler microbenchmarks on the `simkit`
+//! executor, the flat core structures, the five applications and the
+//! full repro suite, prints a summary, and writes the report as JSON
 //! (default `BENCH_wallclock.json`; `--smoke` defaults to
 //! `target/BENCH_wallclock.smoke.json` so a CI smoke run never clobbers
 //! the committed trajectory file).
-//!
-//! `structs` runs only the per-structure microbenchmarks (the flat core
-//! data structures vs twins of the std collections they replaced) and
-//! prints their summary — the fast path `verify.sh` smoke-gates; the
-//! full numbers land in the wallclock report's `struct_ops` section.
 //!
 //! `check` parses an existing report and validates its layout (schema
 //! marker, all storms, the struct_ops section, all apps, every repro
@@ -26,11 +20,10 @@
 
 use std::process::ExitCode;
 
-use iosim_bench::{structs, wallclock};
+use iosim_bench::wallclock;
 
 fn usage() -> ExitCode {
     eprintln!("usage: bench wallclock [--smoke] [--scale F] [--out PATH]");
-    eprintln!("       bench structs [--smoke]");
     eprintln!("       bench check PATH");
     ExitCode::from(2)
 }
@@ -46,8 +39,12 @@ fn main() -> ExitCode {
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--smoke" => smoke = true,
-                    "--scale" => match it.next().and_then(|v| v.parse().ok()) {
-                        Some(v) => scale = Some(v),
+                    "--scale" => match it.next().map(|v| iosim_bench::parse_scale(v)) {
+                        Some(Ok(v)) => scale = Some(v),
+                        Some(Err(e)) => {
+                            eprintln!("bench: {e}");
+                            return ExitCode::from(2);
+                        }
                         None => return usage(),
                     },
                     "--out" => match it.next() {
@@ -82,28 +79,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             println!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-        Some("structs") => {
-            let mut smoke = false;
-            for a in &args[1..] {
-                match a.as_str() {
-                    "--smoke" => smoke = true,
-                    _ => return usage(),
-                }
-            }
-            let report = structs::run_struct_storms(smoke);
-            print!("{}", structs::render_summary(&report));
-            // The smoke gate: every storm must have actually run.
-            for (name, p) in report.pairs() {
-                if p.flat.ops == 0
-                    || !p.flat.ops_per_sec().is_finite()
-                    || p.flat.ops_per_sec() <= 0.0
-                {
-                    eprintln!("bench: struct storm {name} produced no throughput");
-                    return ExitCode::FAILURE;
-                }
-            }
             ExitCode::SUCCESS
         }
         Some("check") => {

@@ -1,9 +1,9 @@
 //! Wall-clock benchmark layer: `bench wallclock`.
 //!
 //! Times four scheduler microbenchmarks (spawn, sleep, channel, and
-//! ping storms) on the current `simkit` executor *and* on the pre-rewrite
-//! baseline replica ([`crate::baseline`]), times the five applications and
-//! the full repro suite, and emits everything as `BENCH_wallclock.json` so
+//! ping storms) on the `simkit` executor, the flat core structures
+//! ([`crate::structs`]), the five applications and the full repro suite,
+//! and emits everything as `BENCH_wallclock.json` so
 //! every PR has a host-performance trajectory (paper-side motivation:
 //! Kunkel et al., *Tools for Analyzing Parallel I/O* — you can't optimize
 //! what you don't measure).
@@ -21,7 +21,6 @@ use iosim_simkit::executor::Sim;
 use iosim_simkit::sync::channel;
 use iosim_simkit::time::SimDuration;
 
-use crate::baseline::BaselineSim;
 use crate::experiments;
 use crate::parallel::{default_threads, map_parallel};
 use crate::structs::{self, StructsReport};
@@ -47,32 +46,7 @@ impl StormResult {
     }
 }
 
-/// A microbench pair: same workload on the rewritten executor and on the
-/// Mutex+HashMap baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct StormPair {
-    pub current: StormResult,
-    pub baseline: StormResult,
-}
-
-impl StormPair {
-    /// Wall-time ratio baseline/current on the identical workload (>1
-    /// means the rewrite is faster). Wall time — not the events/sec ratio
-    /// — is the honest comparison: on wake-heavy workloads the baseline
-    /// performs extra duplicate polls that the rewrite's wake dedup
-    /// eliminates, which inflate the baseline's poll count and would make
-    /// a polls/sec ratio understate the real speedup.
-    pub fn speedup(&self) -> f64 {
-        let c = self.current.wall.as_secs_f64();
-        if c > 0.0 {
-            self.baseline.wall.as_secs_f64() / c
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Workload sizes for the three storms.
+/// Workload sizes for the four scheduler storms.
 #[derive(Clone, Copy, Debug)]
 pub struct StormConfig {
     /// spawn storm: `rounds` waves of `batch` immediately-completing tasks.
@@ -123,242 +97,106 @@ impl StormConfig {
     }
 }
 
-/// Measure a current/baseline pair with one discarded warmup each and
-/// `reps` interleaved repetitions (current, baseline, current, …), taking
-/// each side's best wall time. Interleaving keeps slow drift in host CPU
-/// frequency from biasing whichever side happens to run later.
-fn measure_pair<C, B>(reps: usize, mut current: C, mut baseline: B) -> StormPair
-where
-    C: FnMut() -> StormResult,
-    B: FnMut() -> StormResult,
-{
-    let _ = current();
-    let _ = baseline();
-    let mut best_c = current();
-    let mut best_b = baseline();
+/// One discarded warm-up run, then the best (minimum `wall`) of `reps`
+/// runs.
+pub(crate) fn best_of<T>(
+    reps: usize,
+    mut run: impl FnMut() -> T,
+    wall: impl Fn(&T) -> Duration,
+) -> T {
+    let _ = run();
+    let mut best = run();
     for _ in 1..reps.max(1) {
-        let c = current();
-        if c.wall < best_c.wall {
-            best_c = c;
-        }
-        let b = baseline();
-        if b.wall < best_b.wall {
-            best_b = b;
+        let r = run();
+        if wall(&r) < wall(&best) {
+            best = r;
         }
     }
-    StormPair {
-        current: best_c,
-        baseline: best_b,
-    }
+    best
 }
 
 /// Spawn storm: waves of immediately-completing tasks — stresses task
-/// admission and retirement (slab alloc/free vs `HashMap` insert/remove).
-/// The workload is shaped identically on both executors (counter-completed
-/// tasks, a 1 ns virtual-time ladder between waves) so events/sec compares
-/// the schedulers, not the workloads.
-pub fn spawn_storm_current(cfg: &StormConfig) -> StormResult {
+/// admission and retirement (slab alloc/free). Tasks complete by counter,
+/// with a 1 ns virtual-time ladder between waves.
+pub fn spawn_storm(cfg: &StormConfig) -> StormResult {
     use std::cell::Cell;
     use std::rc::Rc;
-    {
-        let mut sim = Sim::new();
-        let h = sim.handle();
-        let done: Rc<Cell<usize>> = Rc::default();
-        let done2 = Rc::clone(&done);
-        let (rounds, batch) = (cfg.spawn_rounds, cfg.spawn_batch);
-        sim.spawn(async move {
-            for _ in 0..rounds {
-                for _ in 0..batch {
-                    let d = Rc::clone(&done2);
-                    h.spawn(async move {
-                        d.set(d.get() + 1);
-                    });
-                }
-                h.sleep(SimDuration::from_nanos(1)).await;
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let done: Rc<Cell<usize>> = Rc::default();
+    let done2 = Rc::clone(&done);
+    let (rounds, batch) = (cfg.spawn_rounds, cfg.spawn_batch);
+    sim.spawn(async move {
+        for _ in 0..rounds {
+            for _ in 0..batch {
+                let d = Rc::clone(&done2);
+                h.spawn(async move {
+                    d.set(d.get() + 1);
+                });
             }
-        });
-        let t0 = Instant::now();
-        sim.run();
-        let events = sim.events_processed();
-        assert_eq!(done.get(), cfg.spawn_rounds * cfg.spawn_batch);
-        StormResult {
-            wall: t0.elapsed(),
-            events,
+            h.sleep(SimDuration::from_nanos(1)).await;
         }
-    }
-}
-
-/// Spawn storm on the baseline executor (same wave structure; completion
-/// is tracked by counter since the baseline has no join handles).
-pub fn spawn_storm_baseline(cfg: &StormConfig) -> StormResult {
-    use std::cell::Cell;
-    use std::rc::Rc;
-    {
-        let mut sim = BaselineSim::new();
-        // Waves via a zero-cost virtual-time ladder: each wave's tasks
-        // complete at the same instant; the next wave is spawned by a
-        // coordinator sleeping 1 ns between waves.
-        let h = sim.handle();
-        let done: Rc<Cell<usize>> = Rc::default();
-        let done2 = Rc::clone(&done);
-        let (rounds, batch) = (cfg.spawn_rounds, cfg.spawn_batch);
-        sim.spawn(async move {
-            for _ in 0..rounds {
-                for _ in 0..batch {
-                    let d = Rc::clone(&done2);
-                    h.spawn(async move {
-                        d.set(d.get() + 1);
-                    });
-                }
-                h.sleep(SimDuration::from_nanos(1)).await;
-            }
-        });
-        let t0 = Instant::now();
-        sim.run();
-        let events = sim.events_processed();
-        assert_eq!(done.get(), cfg.spawn_rounds * cfg.spawn_batch);
-        StormResult {
-            wall: t0.elapsed(),
-            events,
-        }
+    });
+    let t0 = Instant::now();
+    sim.run();
+    let events = sim.events_processed();
+    assert_eq!(done.get(), cfg.spawn_rounds * cfg.spawn_batch);
+    StormResult {
+        wall: t0.elapsed(),
+        events,
     }
 }
 
 /// Sleep storm: many tasks ticking through staggered timers — stresses
 /// the timer heap and the wake → poll round trip.
-pub fn sleep_storm_current(cfg: &StormConfig) -> StormResult {
-    {
-        let mut sim = Sim::new();
-        for i in 0..cfg.sleep_tasks {
-            let h = sim.handle();
-            let iters = cfg.sleep_iters;
-            sim.spawn(async move {
-                for _ in 0..iters {
-                    h.sleep(SimDuration::from_micros((i % 7 + 1) as u64)).await;
-                }
-            });
-        }
-        let t0 = Instant::now();
-        sim.run();
-        StormResult {
-            wall: t0.elapsed(),
-            events: sim.events_processed(),
-        }
+pub fn sleep_storm(cfg: &StormConfig) -> StormResult {
+    let mut sim = sleep_ladder(cfg);
+    let t0 = Instant::now();
+    sim.run();
+    StormResult {
+        wall: t0.elapsed(),
+        events: sim.events_processed(),
     }
 }
 
-/// Sleep storm on the baseline executor.
-pub fn sleep_storm_baseline(cfg: &StormConfig) -> StormResult {
-    {
-        let mut sim = BaselineSim::new();
-        for i in 0..cfg.sleep_tasks {
-            let h = sim.handle();
-            let iters = cfg.sleep_iters;
-            sim.spawn(async move {
-                for _ in 0..iters {
-                    h.sleep(SimDuration::from_micros((i % 7 + 1) as u64)).await;
-                }
-            });
-        }
-        let t0 = Instant::now();
-        sim.run();
-        StormResult {
-            wall: t0.elapsed(),
-            events: sim.events_processed(),
-        }
+/// The sleep storm's simulation, not yet run: task `i` sleeps
+/// `(i % 7 + 1)` µs, `sleep_iters` times.
+fn sleep_ladder(cfg: &StormConfig) -> Sim {
+    let sim = Sim::new();
+    for i in 0..cfg.sleep_tasks {
+        let h = sim.handle();
+        let iters = cfg.sleep_iters;
+        sim.spawn(async move {
+            for _ in 0..iters {
+                h.sleep(SimDuration::from_micros((i % 7 + 1) as u64)).await;
+            }
+        });
     }
+    sim
 }
 
 /// Channel storm: producer/consumer pairs where the producer paces itself
-/// with a timer — stresses wake delivery (and, on the current executor,
-/// the duplicate-wake dedup).
-pub fn channel_storm_current(cfg: &StormConfig) -> StormResult {
-    {
-        let mut sim = Sim::new();
-        for p in 0..cfg.chan_pairs {
-            let (tx, rx) = channel::<u32>();
-            let h = sim.handle();
-            let msgs = cfg.chan_msgs;
-            sim.spawn(async move {
-                for m in 0..msgs {
-                    if m % 16 == 0 {
-                        h.sleep(SimDuration::from_micros((p % 5 + 1) as u64)).await;
-                    }
-                    tx.send(m as u32);
-                }
-            });
-            sim.spawn(async move {
-                let mut sum = 0u64;
-                while let Some(v) = rx.recv().await {
-                    sum += v as u64;
-                }
-                std::hint::black_box(sum);
-            });
-        }
-        let t0 = Instant::now();
-        sim.run();
-        StormResult {
-            wall: t0.elapsed(),
-            events: sim.events_processed(),
-        }
-    }
-}
-
-/// Channel storm on the baseline executor (the sync primitives are
-/// executor-agnostic).
-pub fn channel_storm_baseline(cfg: &StormConfig) -> StormResult {
-    {
-        let mut sim = BaselineSim::new();
-        for p in 0..cfg.chan_pairs {
-            let (tx, rx) = channel::<u32>();
-            let h = sim.handle();
-            let msgs = cfg.chan_msgs;
-            sim.spawn(async move {
-                for m in 0..msgs {
-                    if m % 16 == 0 {
-                        h.sleep(SimDuration::from_micros((p % 5 + 1) as u64)).await;
-                    }
-                    tx.send(m as u32);
-                }
-            });
-            sim.spawn(async move {
-                let mut sum = 0u64;
-                while let Some(v) = rx.recv().await {
-                    sum += v as u64;
-                }
-                std::hint::black_box(sum);
-            });
-        }
-        let t0 = Instant::now();
-        sim.run();
-        StormResult {
-            wall: t0.elapsed(),
-            events: sim.events_processed(),
-        }
-    }
-}
-
-/// Ping storm: task pairs ping-ponging over a pair of channels — no
-/// timers at all, so the wake -> poll round trip dominates and the pair
-/// isolates raw scheduler overhead better than the other storms.
-pub fn ping_storm_current(cfg: &StormConfig) -> StormResult {
+/// with a timer — stresses wake delivery and the duplicate-wake dedup.
+pub fn channel_storm(cfg: &StormConfig) -> StormResult {
     let mut sim = Sim::new();
-    for _ in 0..cfg.ping_pairs {
-        let (ping_tx, ping_rx) = channel::<u32>();
-        let (pong_tx, pong_rx) = channel::<u32>();
-        let rounds = cfg.ping_rounds;
+    for p in 0..cfg.chan_pairs {
+        let (tx, rx) = channel::<u32>();
+        let h = sim.handle();
+        let msgs = cfg.chan_msgs;
         sim.spawn(async move {
-            for i in 0..rounds {
-                ping_tx.send(i as u32);
-                let _ = pong_rx.recv().await;
+            for m in 0..msgs {
+                if m % 16 == 0 {
+                    h.sleep(SimDuration::from_micros((p % 5 + 1) as u64)).await;
+                }
+                tx.send(m as u32);
             }
         });
         sim.spawn(async move {
-            for _ in 0..rounds {
-                if let Some(v) = ping_rx.recv().await {
-                    pong_tx.send(v);
-                }
+            let mut sum = 0u64;
+            while let Some(v) = rx.recv().await {
+                sum += v as u64;
             }
+            std::hint::black_box(sum);
         });
     }
     let t0 = Instant::now();
@@ -369,9 +207,11 @@ pub fn ping_storm_current(cfg: &StormConfig) -> StormResult {
     }
 }
 
-/// Ping storm on the baseline executor.
-pub fn ping_storm_baseline(cfg: &StormConfig) -> StormResult {
-    let mut sim = BaselineSim::new();
+/// Ping storm: task pairs ping-ponging over a pair of channels — no
+/// timers at all, so the wake -> poll round trip dominates and the storm
+/// isolates raw scheduler overhead better than the others.
+pub fn ping_storm(cfg: &StormConfig) -> StormResult {
+    let mut sim = Sim::new();
     for _ in 0..cfg.ping_pairs {
         let (ping_tx, ping_rx) = channel::<u32>();
         let (pong_tx, pong_rx) = channel::<u32>();
@@ -529,12 +369,10 @@ pub struct ReplayShardSeries {
 pub struct WallclockReport {
     pub smoke: bool,
     pub scale: f64,
-    pub spawn: StormPair,
-    pub sleep: StormPair,
-    pub chan: StormPair,
-    pub ping: StormPair,
-    /// Per-structure microbenchmarks: the flat core data structures vs
-    /// twins of the std collections they replaced (DESIGN.md §19).
+    /// The scheduler storms by JSON key: spawn, sleep, channel, ping.
+    pub microbench: [(&'static str, StormResult); 4],
+    /// Per-structure microbenchmarks of the flat core data structures
+    /// (DESIGN.md §19).
     pub struct_ops: StructsReport,
     pub apps: Vec<AppTiming>,
     pub data_plane: Vec<DataPlaneTiming>,
@@ -555,6 +393,17 @@ pub struct WallclockReport {
     pub repro: Vec<ReproTiming>,
     pub total_wall: Duration,
 }
+
+/// One scheduler storm at a given size.
+type Storm = fn(&StormConfig) -> StormResult;
+
+/// The scheduler storms, by JSON key, in report order.
+const STORMS: [(&str, Storm); 4] = [
+    ("spawn_storm", spawn_storm),
+    ("sleep_storm", sleep_storm),
+    ("channel_storm", channel_storm),
+    ("ping_storm", ping_storm),
+];
 
 /// The five timed applications, in report order.
 const APP_NAMES: [&str; 5] = ["scf11", "scf30", "fft", "btio", "ast"];
@@ -904,30 +753,10 @@ pub fn run_suite(smoke: bool, scale: f64) -> WallclockReport {
         StormConfig::full()
     };
     let t0 = Instant::now();
-    eprintln!("[wallclock] microbench: spawn storm");
-    let spawn = measure_pair(
-        cfg.reps,
-        || spawn_storm_current(&cfg),
-        || spawn_storm_baseline(&cfg),
-    );
-    eprintln!("[wallclock] microbench: sleep storm");
-    let sleep = measure_pair(
-        cfg.reps,
-        || sleep_storm_current(&cfg),
-        || sleep_storm_baseline(&cfg),
-    );
-    eprintln!("[wallclock] microbench: channel storm");
-    let chan = measure_pair(
-        cfg.reps,
-        || channel_storm_current(&cfg),
-        || channel_storm_baseline(&cfg),
-    );
-    eprintln!("[wallclock] microbench: ping storm");
-    let ping = measure_pair(
-        cfg.reps,
-        || ping_storm_current(&cfg),
-        || ping_storm_baseline(&cfg),
-    );
+    let microbench = STORMS.map(|(name, storm)| {
+        eprintln!("[wallclock] microbench: {name}");
+        (name, best_of(cfg.reps, || storm(&cfg), |r| r.wall))
+    });
     eprintln!("[wallclock] struct microbenchmarks");
     let struct_ops = structs::run_struct_storms(smoke);
     eprintln!("[wallclock] apps");
@@ -947,10 +776,7 @@ pub fn run_suite(smoke: bool, scale: f64) -> WallclockReport {
     WallclockReport {
         smoke,
         scale,
-        spawn,
-        sleep,
-        chan,
-        ping,
+        microbench,
         struct_ops,
         apps,
         data_plane,
@@ -967,48 +793,33 @@ pub fn run_suite(smoke: bool, scale: f64) -> WallclockReport {
     }
 }
 
-fn write_storm(out: &mut String, name: &str, pair: &StormPair) {
-    let _ = write!(
-        out,
-        "    \"{name}\": {{\n      \"executor\": {{\"wall_s\": {:.6}, \"events\": {}, \"events_per_sec\": {:.1}}},\n      \"baseline_mutex_hashmap\": {{\"wall_s\": {:.6}, \"events\": {}, \"events_per_sec\": {:.1}}},\n      \"speedup\": {:.3}\n    }}",
-        pair.current.wall.as_secs_f64(),
-        pair.current.events,
-        pair.current.events_per_sec(),
-        pair.baseline.wall.as_secs_f64(),
-        pair.baseline.events,
-        pair.baseline.events_per_sec(),
-        pair.speedup(),
-    );
-}
-
 /// Render the report as the `BENCH_wallclock.json` document.
 pub fn emit_json(r: &WallclockReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"iosim-bench-wallclock-v7\",");
+    let _ = writeln!(out, "  \"schema\": \"iosim-bench-wallclock-v8\",");
     let _ = writeln!(out, "  \"smoke\": {},", r.smoke);
     let _ = writeln!(out, "  \"scale\": {},", r.scale);
     out.push_str("  \"microbench\": {\n");
-    write_storm(&mut out, "spawn_storm", &r.spawn);
-    out.push_str(",\n");
-    write_storm(&mut out, "sleep_storm", &r.sleep);
-    out.push_str(",\n");
-    write_storm(&mut out, "channel_storm", &r.chan);
-    out.push_str(",\n");
-    write_storm(&mut out, "ping_storm", &r.ping);
-    out.push_str("\n  },\n");
-    out.push_str("  \"struct_ops\": {\n");
-    for (name, p) in r.struct_ops.pairs() {
+    for (k, (name, storm)) in r.microbench.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    \"{name}\": {{\n      \"flat\": {{\"wall_s\": {:.6}, \"ops\": {}, \"ops_per_sec\": {:.1}}},\n      \"std_twin\": {{\"wall_s\": {:.6}, \"ops\": {}, \"ops_per_sec\": {:.1}}},\n      \"speedup\": {:.3}\n    }},",
-            p.flat.wall.as_secs_f64(),
-            p.flat.ops,
-            p.flat.ops_per_sec(),
-            p.std_twin.wall.as_secs_f64(),
-            p.std_twin.ops,
-            p.std_twin.ops_per_sec(),
-            p.speedup(),
+            "    \"{name}\": {{\"wall_s\": {:.6}, \"events\": {}, \"events_per_sec\": {:.1}}}{}",
+            storm.wall.as_secs_f64(),
+            storm.events,
+            storm.events_per_sec(),
+            if k + 1 < r.microbench.len() { "," } else { "" },
+        );
+    }
+    out.push_str("  },\n");
+    out.push_str("  \"struct_ops\": {\n");
+    for (name, storm) in r.struct_ops.storms() {
+        let _ = writeln!(
+            out,
+            "    \"{name}\": {{\"wall_s\": {:.6}, \"ops\": {}, \"ops_per_sec\": {:.1}}},",
+            storm.wall.as_secs_f64(),
+            storm.ops,
+            storm.ops_per_sec(),
         );
     }
     let _ = writeln!(
@@ -1348,10 +1159,9 @@ fn check_count(v: Option<&Json>, what: &str) -> Result<f64, String> {
 }
 
 /// Validate a `BENCH_wallclock.json` document: schema marker, the four
-/// microbench storms with both executor arms, the per-structure
-/// `struct_ops` section (all four structures, both arms, nonzero op
-/// counts, finite positive ops/sec, a cursor hit rate in [0, 1] — the
-/// `bench check` half of the struct-bench gate), all five apps, the
+/// microbench storms, the per-structure `struct_ops` section (all three
+/// structures, nonzero op counts, finite positive ops/sec, a cursor hit
+/// rate in [0, 1]), all five apps, the
 /// data-plane byte accounting (counters present and non-trivial), the
 /// workload-subsystem section (sample-trace replays and an open-loop
 /// point, each with a non-empty latency histogram), the open-loop
@@ -1370,30 +1180,20 @@ fn check_count(v: Option<&Json>, what: &str) -> Result<f64, String> {
 pub fn validate(doc: &str) -> Result<(), String> {
     let v = parse_json(doc)?;
     match v.get("schema") {
-        Some(Json::Str(s)) if s == "iosim-bench-wallclock-v7" => {}
+        Some(Json::Str(s)) if s == "iosim-bench-wallclock-v8" => {}
         other => return Err(format!("bad schema field: {other:?}")),
     }
     let micro = v.get("microbench").ok_or("missing microbench")?;
-    for storm in ["spawn_storm", "sleep_storm", "channel_storm", "ping_storm"] {
+    for (storm, _) in STORMS {
         let s = micro
             .get(storm)
             .ok_or_else(|| format!("missing microbench.{storm}"))?;
-        for arm in ["executor", "baseline_mutex_hashmap"] {
-            let a = s
-                .get(arm)
-                .ok_or_else(|| format!("missing microbench.{storm}.{arm}"))?;
-            check_wall(a.get("wall_s"), &format!("microbench.{storm}.{arm}.wall_s"))?;
-            for field in ["events", "events_per_sec"] {
-                match a.get(field) {
-                    Some(Json::Num(_)) => {}
-                    other => {
-                        return Err(format!("microbench.{storm}.{arm}.{field}: {other:?}"));
-                    }
-                }
+        check_wall(s.get("wall_s"), &format!("microbench.{storm}.wall_s"))?;
+        for field in ["events", "events_per_sec"] {
+            match s.get(field) {
+                Some(Json::Num(_)) => {}
+                other => return Err(format!("microbench.{storm}.{field}: {other:?}")),
             }
-        }
-        if !matches!(s.get("speedup"), Some(Json::Num(_))) {
-            return Err(format!("missing microbench.{storm}.speedup"));
         }
     }
     let so = v.get("struct_ops").ok_or("missing struct_ops")?;
@@ -1401,23 +1201,13 @@ pub fn validate(doc: &str) -> Result<(), String> {
         let s = so
             .get(name)
             .ok_or_else(|| format!("missing struct_ops.{name}"))?;
-        for arm in ["flat", "std_twin"] {
-            let a = s
-                .get(arm)
-                .ok_or_else(|| format!("missing struct_ops.{name}.{arm}"))?;
-            check_wall(a.get("wall_s"), &format!("struct_ops.{name}.{arm}.wall_s"))?;
-            if check_count(a.get("ops"), &format!("struct_ops.{name}.{arm}.ops"))? == 0.0 {
-                return Err(format!("struct_ops.{name}.{arm}: zero operations"));
-            }
-            match a.get("ops_per_sec") {
-                Some(Json::Num(n)) if n.is_finite() && *n > 0.0 => {}
-                other => {
-                    return Err(format!("struct_ops.{name}.{arm}.ops_per_sec: {other:?}"));
-                }
-            }
+        check_wall(s.get("wall_s"), &format!("struct_ops.{name}.wall_s"))?;
+        if check_count(s.get("ops"), &format!("struct_ops.{name}.ops"))? == 0.0 {
+            return Err(format!("struct_ops.{name}: zero operations"));
         }
-        if !matches!(s.get("speedup"), Some(Json::Num(n)) if n.is_finite() && *n >= 0.0) {
-            return Err(format!("struct_ops.{name}.speedup: bad or missing"));
+        match s.get("ops_per_sec") {
+            Some(Json::Num(n)) if n.is_finite() && *n > 0.0 => {}
+            other => return Err(format!("struct_ops.{name}.ops_per_sec: {other:?}")),
         }
     }
     match so.get("extent_cursor_hit_rate") {
@@ -1707,19 +1497,8 @@ pub fn render_summary(r: &WallclockReport) -> String {
         if r.smoke { "smoke" } else { "full" },
         r.scale
     );
-    for (name, p) in [
-        ("spawn storm", &r.spawn),
-        ("sleep storm", &r.sleep),
-        ("channel storm", &r.chan),
-        ("ping storm", &r.ping),
-    ] {
-        let _ = writeln!(
-            out,
-            "  {name:>14}: {:>10.0} ev/s vs baseline {:>10.0} ev/s  -> {:.2}x",
-            p.current.events_per_sec(),
-            p.baseline.events_per_sec(),
-            p.speedup(),
-        );
+    for (name, storm) in &r.microbench {
+        let _ = writeln!(out, "  {name:>14}: {:>10.0} ev/s", storm.events_per_sec());
     }
     out.push_str(&structs::render_summary(&r.struct_ops));
     for a in &r.apps {
@@ -1826,6 +1605,7 @@ pub fn render_summary(r: &WallclockReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iosim_simkit::time::SimTime;
 
     fn tiny() -> StormConfig {
         StormConfig {
@@ -1842,46 +1622,27 @@ mod tests {
     }
 
     #[test]
-    fn storms_run_on_both_executors() {
+    fn storms_run() {
         let cfg = tiny();
-        assert!(spawn_storm_current(&cfg).events >= 16);
-        assert!(spawn_storm_baseline(&cfg).events >= 16);
-        assert!(sleep_storm_current(&cfg).events >= 24);
-        assert!(sleep_storm_baseline(&cfg).events >= 24);
-        assert!(channel_storm_current(&cfg).events > 0);
-        assert!(channel_storm_baseline(&cfg).events > 0);
-        assert!(ping_storm_current(&cfg).events > 0);
-        assert!(ping_storm_baseline(&cfg).events > 0);
+        assert!(spawn_storm(&cfg).events >= 16);
+        assert!(sleep_storm(&cfg).events >= 24);
+        assert!(channel_storm(&cfg).events > 0);
+        assert!(ping_storm(&cfg).events > 0);
     }
 
     #[test]
-    fn storm_virtual_outcomes_match_across_executors() {
-        // Identical virtual-time workloads on both executors: same sleep
-        // ladder must end at the same virtual instant (the baseline is a
-        // faithful replica, not a different model).
+    fn sleep_storm_ends_at_the_longest_ladder() {
+        // Task i sleeps (i % 7 + 1) µs, `iters` times, with no contention:
+        // the run ends when the slowest task's ladder does.
         let cfg = tiny();
-        let mut cur = Sim::new();
-        for i in 0..cfg.sleep_tasks {
-            let h = cur.handle();
-            let iters = cfg.sleep_iters;
-            cur.spawn(async move {
-                for _ in 0..iters {
-                    h.sleep(SimDuration::from_micros((i % 7 + 1) as u64)).await;
-                }
-            });
-        }
-        let end_cur = cur.run();
-        let mut base = BaselineSim::new();
-        for i in 0..cfg.sleep_tasks {
-            let h = base.handle();
-            let iters = cfg.sleep_iters;
-            base.spawn(async move {
-                for _ in 0..iters {
-                    h.sleep(SimDuration::from_micros((i % 7 + 1) as u64)).await;
-                }
-            });
-        }
-        assert_eq!(base.run(), end_cur);
+        let longest = (0..cfg.sleep_tasks)
+            .map(|i| cfg.sleep_iters as u64 * (i % 7 + 1) as u64)
+            .max()
+            .expect("at least one task");
+        assert_eq!(
+            sleep_ladder(&cfg).run(),
+            SimTime::ZERO + SimDuration::from_micros(longest)
+        );
     }
 
     #[test]
@@ -1908,8 +1669,9 @@ mod tests {
         assert!(validate("{\"schema\": \"iosim-bench-wallclock-v4\"}").is_err());
         assert!(validate("{\"schema\": \"iosim-bench-wallclock-v5\"}").is_err());
         assert!(validate("{\"schema\": \"iosim-bench-wallclock-v6\"}").is_err());
-        // Current schema but no sections.
         assert!(validate("{\"schema\": \"iosim-bench-wallclock-v7\"}").is_err());
+        // Current schema but no sections.
+        assert!(validate("{\"schema\": \"iosim-bench-wallclock-v8\"}").is_err());
         assert!(parse_json("{bad").is_err());
     }
 

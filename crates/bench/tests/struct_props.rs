@@ -4,21 +4,17 @@
 //! twin it replaced, or something even simpler (a plain byte array for the
 //! extent tree) — by an in-tree [`SimRng`] generator: no external
 //! property-testing dependency, every failure reproducible from the seed
-//! in the assertion message. Unlike `bench structs`, which replays one
-//! fixed sequence per structure and times it, these tests randomize the op
-//! mix across many seeds and compare *states and outputs*, never timings:
+//! in the assertion message. Unlike the `struct_ops` storms of `bench
+//! wallclock`, which replay one fixed sequence per structure and time it,
+//! these tests randomize the op mix across many seeds and compare *states
+//! and outputs*, never timings:
 //!
 //! * extent store — every read byte-identical to a flat byte mirror under
 //!   arbitrary overlapping writes;
 //! * LRU order — victims, dirty-scan order and per-file dirty filters
 //!   identical to a brute-force recency list;
 //! * elevator pick — dispatch order over a ring with staggered arrivals
-//!   identical to the exported [`pick_command`] oracle over a `Vec` view;
-//! * timer pop order — identical to `BinaryHeap` under collision-heavy,
-//!   wide-spread and reverse-sorted deadline patterns.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!   identical to the exported [`pick_command`] oracle over a `Vec` view.
 
 use iosim_buf::Bytes;
 use iosim_cache::LruSlab;
@@ -26,7 +22,6 @@ use iosim_machine::{pick_command, CmdRing, CommandView};
 use iosim_pfs::ExtentTree;
 use iosim_simkit::rng::SimRng;
 use iosim_simkit::time::SimTime;
-use iosim_simkit::timerheap::TimerHeap;
 
 /// Seeds per property. Each seed is an independent random trajectory.
 const SEEDS: u64 = 12;
@@ -66,6 +61,31 @@ fn extent_tree_matches_byte_mirror() {
             tree.read(0, SPAN).to_vec(),
             mirror,
             "seed {seed}: final sweep"
+        );
+    }
+    // The `struct_ops` storm shape: a back-to-back write stream, the same
+    // stream read back block by block (every lookup rides the cursor),
+    // then random reads that land off it.
+    const BLOCK: u64 = 512;
+    let mut rng = SimRng::seed_from(0xe47e_5e9d);
+    let mut tree = ExtentTree::new();
+    let mut mirror = vec![0u8; SPAN as usize];
+    for i in 0..SPAN / BLOCK {
+        let fill = (i % 251) as u8 + 1;
+        tree.write(i * BLOCK, Bytes::from_vec(vec![fill; BLOCK as usize]));
+        mirror[(i * BLOCK) as usize..((i + 1) * BLOCK) as usize].fill(fill);
+    }
+    let reads = (0..SPAN / BLOCK)
+        .map(|i| (i * BLOCK, BLOCK))
+        .chain((0..SPAN / BLOCK / 4).map(|_| {
+            let off = rng.range(0, SPAN - 1);
+            (off, rng.range(1, (SPAN - off).min(4 * BLOCK) + 1))
+        }));
+    for (off, len) in reads {
+        assert_eq!(
+            tree.read(off, len).to_vec(),
+            mirror[off as usize..(off + len) as usize],
+            "stream: read [{off}, +{len}) diverged"
         );
     }
 }
@@ -309,48 +329,5 @@ fn cmd_ring_matches_vec_oracle() {
             }
         }
         assert!(ring.is_empty(), "seed {seed}: ring drained with the oracle");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Timer heap vs BinaryHeap
-
-#[test]
-fn timer_heap_matches_binary_heap() {
-    for seed in 0..SEEDS {
-        let mut rng = SimRng::seed_from(0x7177_0000 + seed);
-        let mut ours: TimerHeap<u64> = TimerHeap::new();
-        let mut theirs: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for step in 0..20_000u64 {
-            if theirs.is_empty() || rng.range(0, 3) != 0 {
-                // Three deadline regimes per trajectory: collision-heavy
-                // (ties broken by seq), wide-spread, and reverse-sorted
-                // (every push sifts all the way to the root).
-                let t = match seed % 3 {
-                    0 => SimTime(rng.range(0, 8)),
-                    1 => SimTime(rng.range(0, 1 << 40)),
-                    _ => SimTime(u64::MAX - step),
-                };
-                ours.push(t, seq, seq);
-                theirs.push(Reverse((t, seq)));
-                seq += 1;
-            } else {
-                assert_eq!(
-                    ours.peek(),
-                    theirs.peek().map(|&Reverse(k)| k),
-                    "seed {seed} step {step}: peek diverged"
-                );
-                let (t, s, p) = ours.pop().expect("ours nonempty");
-                let Reverse((rt, rs)) = theirs.pop().expect("theirs nonempty");
-                assert_eq!((t, s), (rt, rs), "seed {seed} step {step}: pop diverged");
-                assert_eq!(p, s, "seed {seed} step {step}: payload follows its key");
-            }
-        }
-        while let Some((t, s, _)) = ours.pop() {
-            let Reverse((rt, rs)) = theirs.pop().expect("same length");
-            assert_eq!((t, s), (rt, rs), "seed {seed}: drain diverged");
-        }
-        assert!(theirs.is_empty(), "seed {seed}: lengths agree");
     }
 }

@@ -44,7 +44,8 @@
 //! time) rules out by construction.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::mem::ManuallyDrop;
 use std::pin::Pin;
@@ -52,7 +53,6 @@ use std::rc::Rc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use crate::time::{SimDuration, SimTime};
-use crate::timerheap::TimerHeap;
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 
@@ -62,6 +62,35 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 /// (select/race patterns) retargets the timer instead of waking a stale
 /// task.
 type WakerSlot = Rc<Cell<Option<Waker>>>;
+
+/// A pending timer. Entries order by `(time, seq)` only; `seq` is unique
+/// per registration, so the order is total and the heap's pop order is
+/// fully determined by the keys, never by its internal layout.
+struct TimerEntry {
+    time: SimTime,
+    seq: u64,
+    slot: WakerSlot,
+}
+
+impl PartialEq for TimerEntry {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
+}
+
+impl Eq for TimerEntry {}
+
+impl PartialOrd for TimerEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TimerEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.time, self.seq).cmp(&(other.time, other.seq))
+    }
+}
 
 /// Ready queue of `(slab index, spawn serial)` pairs. The serial lets the
 /// run loop reject entries whose slot was freed and reused since enqueue.
@@ -162,6 +191,24 @@ fn fnv_fold(acc: u64, v: u64) -> u64 {
     acc
 }
 
+/// Advance the clock to `first`'s instant and move every timer due at
+/// that instant into `batch`, in `(time, seq)` order.
+fn pop_instant(
+    core: &Core,
+    timers: &mut BinaryHeap<Reverse<TimerEntry>>,
+    first: TimerEntry,
+    batch: &mut Vec<WakerSlot>,
+) {
+    let instant = first.time;
+    debug_assert!(instant >= core.now.get());
+    core.now.set(instant);
+    batch.push(first.slot);
+    while timers.peek().is_some_and(|Reverse(e)| e.time == instant) {
+        let Reverse(e) = timers.pop().expect("peeked entry");
+        batch.push(e.slot);
+    }
+}
+
 /// Poll ready tasks until the queue is empty — the scheduler hot loop.
 fn drain_ready(core: &Core) {
     loop {
@@ -210,10 +257,8 @@ fn drain_ready(core: &Core) {
 struct Core {
     now: Cell<SimTime>,
     seq: Cell<u64>,
-    /// Pending timers, keyed `(time, seq)`. The 4-ary flat heap pops the
-    /// same total order a binary heap would (seq is unique), at half the
-    /// tree depth.
-    timers: RefCell<TimerHeap<WakerSlot>>,
+    /// Pending timers as a min-heap on `(time, seq)`.
+    timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
     ready: ReadyQueue,
     tasks: RefCell<Slab>,
     next_serial: Cell<u64>,
@@ -258,7 +303,7 @@ impl Sim {
                 core: Rc::new(Core {
                     now: Cell::new(SimTime::ZERO),
                     seq: Cell::new(0),
-                    timers: RefCell::new(TimerHeap::new()),
+                    timers: RefCell::new(BinaryHeap::new()),
                     ready: Rc::new(RefCell::new(VecDeque::new())),
                     tasks: RefCell::new(Slab::default()),
                     next_serial: Cell::new(0),
@@ -306,16 +351,10 @@ impl Sim {
             let mut batch = core.timer_batch.borrow_mut();
             {
                 let mut timers = core.timers.borrow_mut();
-                let Some((time, _seq, slot)) = timers.pop() else {
+                let Some(Reverse(first)) = timers.pop() else {
                     break;
                 };
-                debug_assert!(time >= core.now.get());
-                core.now.set(time);
-                let instant = time;
-                batch.push(slot);
-                while timers.peek().is_some_and(|(t, _)| t == instant) {
-                    batch.push(timers.pop().expect("peeked entry").2);
-                }
+                pop_instant(core, &mut timers, first, &mut batch);
             }
             for slot in batch.drain(..) {
                 if let Some(w) = slot.take() {
@@ -349,17 +388,11 @@ impl Sim {
                 let mut timers = core.timers.borrow_mut();
                 match timers.peek() {
                     None => return None,
-                    Some((t, _)) if t >= horizon => return Some(t),
+                    Some(Reverse(e)) if e.time >= horizon => return Some(e.time),
                     Some(_) => {}
                 }
-                let (time, _seq, slot) = timers.pop().expect("peeked entry");
-                debug_assert!(time >= core.now.get());
-                core.now.set(time);
-                let instant = time;
-                batch.push(slot);
-                while timers.peek().is_some_and(|(t, _)| t == instant) {
-                    batch.push(timers.pop().expect("peeked entry").2);
-                }
+                let Reverse(first) = timers.pop().expect("peeked entry");
+                pop_instant(core, &mut timers, first, &mut batch);
             }
             for slot in batch.drain(..) {
                 if let Some(w) = slot.take() {
@@ -451,10 +484,11 @@ impl SimHandle {
 
     pub(crate) fn register_timer(&self, deadline: SimTime, slot: WakerSlot) {
         let seq = self.next_seq();
-        self.core
-            .timers
-            .borrow_mut()
-            .push(deadline.max(self.now()), seq, slot);
+        self.core.timers.borrow_mut().push(Reverse(TimerEntry {
+            time: deadline.max(self.now()),
+            seq,
+            slot,
+        }));
     }
 
     /// Spawn a task; it begins running when the executor next reaches the
@@ -1027,5 +1061,23 @@ mod tests {
         });
         assert_eq!(order, vec![0, 1, 2]);
         assert_eq!(end, SimTime(1_000));
+    }
+
+    #[test]
+    fn timers_fire_in_time_then_seq_order() {
+        // Deadlines registered out of time order: the queue pops by time
+        // first, and only same-instant ties fall back to registration order.
+        let mut sim = Sim::new();
+        let log: Rc<RefCell<Vec<char>>> = Rc::default();
+        for (name, at) in [('c', 30), ('a', 10), ('b', 10), ('x', 20)] {
+            let h = sim.handle();
+            let log = Rc::clone(&log);
+            sim.spawn(async move {
+                h.sleep_until(SimTime(at)).await;
+                log.borrow_mut().push(name);
+            });
+        }
+        assert_eq!(sim.run(), SimTime(30));
+        assert_eq!(*log.borrow(), vec!['a', 'b', 'x', 'c']);
     }
 }

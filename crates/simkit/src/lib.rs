@@ -51,7 +51,6 @@ pub mod rng;
 pub mod shard;
 pub mod sync;
 pub mod time;
-pub mod timerheap;
 
 /// Convenient glob import of the common types.
 pub mod prelude {

@@ -70,6 +70,13 @@ impl Opts {
     fn str_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
         self.0.get(key).map(String::as_str).unwrap_or(default)
     }
+    /// `--scale`, a problem-size factor: finite and > 0.
+    fn scale(&self) -> f64 {
+        match self.0.get("scale") {
+            Some(v) => iosim::bench::parse_scale(v).unwrap_or_else(|e| die(&e)),
+            None => 1.0,
+        }
+    }
     /// A count flag that must be at least 1.
     fn count(&self, key: &str, default: usize) -> usize {
         let n = self.get(key, default);
@@ -157,7 +164,7 @@ fn run_scf11(o: &Opts) -> RunResult {
         io_nodes: o.count("io-nodes", 12),
         mem_kb: o.get("mem-kb", 64),
         stripe_unit_kb: o.count("stripe-kb", 64) as u64,
-        scale: o.get("scale", 1.0),
+        scale: o.scale(),
         cache_mb: o.get("cache", 0),
         queue_depth: o.get("queue-depth", 1),
         ..scf11::Scf11Config::new(input, version)
@@ -183,7 +190,7 @@ fn run_scf30(o: &Opts) -> RunResult {
         io_nodes: o.count("io-nodes", 16),
         balanced: !o.flag("unbalanced"),
         prefetch: !o.flag("no-prefetch"),
-        scale: o.get("scale", 1.0),
+        scale: o.scale(),
         cache_mb: o.get("cache", 0),
         queue_depth: o.get("queue-depth", 1),
         ..scf30::Scf30Config::new(scf11::ScfInput::Medium, o.count("procs", 32), cached)
@@ -489,7 +496,10 @@ fn run_sweep(o: &Opts) {
         .into_iter()
         .map(|h| Query::new(workload, h).expect("workload validated above"))
         .collect();
-    let scale: f64 = o.get("scale", 1.0);
+    let scale = o.scale();
+    if scale > 1.0 {
+        die("--scale for sweep is a fidelity in (0, 1]");
+    }
     // --memo-file persists the memo cache across processes (--memo N is
     // the in-memory capacity). A missing or corrupt file starts cold.
     let memo_file = o.0.get("memo-file").map(std::path::PathBuf::from);

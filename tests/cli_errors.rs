@@ -68,6 +68,19 @@ fn bad_application_flags_exit_2() {
 }
 
 #[test]
+fn bad_scale_exits_2() {
+    // `inf` would never finish; zero, negative and NaN would run a
+    // meaningless problem and exit 0.
+    for app in ["scf11", "scf30", "sweep"] {
+        for bad in ["0", "-1", "nan", "inf"] {
+            assert_located_error(&[app, "--scale", bad], "--scale");
+        }
+    }
+    // The advisor's scale is a fidelity: a fraction of the full run.
+    assert_located_error(&["sweep", "--scale", "2"], "--scale");
+}
+
+#[test]
 fn bad_replay_inputs_exit_2() {
     // One write per rank: more ranks than any preset mesh holds.
     let wide: String = (0..10_000)
