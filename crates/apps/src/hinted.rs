@@ -237,13 +237,7 @@ fn run_hinted_synth(h: &Hints, scale: f64) -> RunSummary {
     } else {
         run_open_loop(&synth, &spec)
     };
-    RunSummary {
-        exec_ns: report.stats.exec_time.as_nanos(),
-        io_ns: report.stats.io_time.as_nanos(),
-        io_bytes: report.stats.io_bytes,
-        io_ops: report.stats.io_ops,
-        sched_fingerprint: report.stats.sched_fingerprint,
-    }
+    RunSummary::from_run(&report.stats)
 }
 
 #[cfg(test)]

@@ -39,7 +39,8 @@ fn main() -> ExitCode {
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--smoke" => smoke = true,
-                    "--scale" => match it.next().map(|v| iosim_bench::parse_scale(v)) {
+                    "--scale" => match it.next().map(|v| iosim_bench::parse_positive("--scale", v))
+                    {
                         Some(Ok(v)) => scale = Some(v),
                         Some(Err(e)) => {
                             eprintln!("bench: {e}");

@@ -54,7 +54,7 @@ fn main() {
         match a.as_str() {
             "--scale" => {
                 let v = args.next().unwrap_or_else(|| die("--scale needs a number"));
-                scale = iosim_bench::parse_scale(&v).unwrap_or_else(|e| die(&e));
+                scale = iosim_bench::parse_positive("--scale", &v).unwrap_or_else(|e| die(&e));
             }
             "--write-md" => {
                 write_md = Some(

@@ -11,12 +11,13 @@ pub mod parallel;
 pub mod structs;
 pub mod wallclock;
 
-/// Parse a `--scale` value: a problem-size factor must be a finite
-/// number greater than zero. The error is the one-line message every
-/// binary prints before exiting with status 2.
-pub fn parse_scale(v: &str) -> Result<f64, String> {
+/// Parse the value `v` of a real-valued flag that must be a finite
+/// number greater than zero (`--scale`, `--rate`, `--duration`, ...).
+/// The error is the one-line message, naming `flag`, that every binary
+/// prints before exiting with status 2.
+pub fn parse_positive(flag: &str, v: &str) -> Result<f64, String> {
     match v.parse::<f64>() {
         Ok(x) if x.is_finite() && x > 0.0 => Ok(x),
-        _ => Err(format!("--scale must be a finite number > 0, got '{v}'")),
+        _ => Err(format!("{flag} must be a finite number > 0, got '{v}'")),
     }
 }

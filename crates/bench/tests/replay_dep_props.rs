@@ -17,7 +17,7 @@
 //! Topologies are built to *stress* the cross-shard path: ranks map
 //! round-robin onto the SP-2 preset's 4 I/O-node shards, and every dep
 //! edge points at a label owned by a different rank, so nearly all of
-//! them become `DepToken` messages on the shard-link mailboxes.
+//! them become dep tokens sent through the engine outbox.
 
 use iosim_machine::presets;
 use iosim_simkit::rng::SimRng;

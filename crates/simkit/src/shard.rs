@@ -773,6 +773,51 @@ mod tests {
     }
 
     #[test]
+    fn outbox_tokens_deliver_in_send_order_one_lookahead_later() {
+        // Shard 0 sends three tokens at 10/20/30 µs, each due one
+        // lookahead later; shard 1's deliver hook must see them in send
+        // order at exactly those instants.
+        let run = |workers: usize| {
+            let builders: Vec<_> = (0..2usize)
+                .map(|_| {
+                    |ctx: ShardCtx<u64>| {
+                        let sim = Sim::new();
+                        let h = sim.handle();
+                        if ctx.index == 0 {
+                            let outbox = ctx.outbox.clone();
+                            let lookahead = ctx.lookahead;
+                            let h2 = h.clone();
+                            sim.spawn(async move {
+                                for token in [3u64, 1, 2] {
+                                    h2.sleep(SimDuration::from_micros(10)).await;
+                                    outbox.send(1, h2.now() + lookahead, token);
+                                }
+                            });
+                        }
+                        let got: Rc<RefCell<Vec<(SimTime, u64)>>> = Rc::default();
+                        let got2 = Rc::clone(&got);
+                        ShardRuntime {
+                            sim,
+                            deliver: Box::new(move |token| {
+                                got2.borrow_mut().push((h.now(), token))
+                            }),
+                            finish: Box::new(move || got.take()),
+                        }
+                    }
+                })
+                .collect();
+            run_sharded(LOOKAHEAD, workers, builders)
+        };
+        let a = run(1);
+        let b = run(2);
+        let us = |t: u64| SimTime::ZERO + SimDuration::from_micros(t);
+        assert_eq!(a.results[0], vec![]);
+        assert_eq!(a.results[1], vec![(us(60), 3), (us(70), 1), (us(80), 2)]);
+        assert_eq!(a.results, b.results);
+        assert_eq!(a.fingerprint, b.fingerprint);
+    }
+
+    #[test]
     fn single_shard_falls_back_to_plain_run() {
         let report = run_sharded::<u64, SimTime, _>(
             SimDuration::ZERO, // no lookahead needed for one shard

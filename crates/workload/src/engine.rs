@@ -20,7 +20,7 @@
 //!
 //! # Measurement
 //!
-//! Every run returns [`RunStats`] (the same machine-level measurements
+//! Every run returns [`RunResult`] (the same machine-level measurements
 //! the in-tree applications report) plus a per-operation
 //! [`LatencyHistogram`]: for trace replay, latency is the virtual time
 //! from issue to completion; for open-loop runs it is measured from the
@@ -28,18 +28,15 @@
 //! included — that is what makes the saturation knee visible.
 
 use std::cell::{Cell, RefCell};
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 
 use iosim_core::two_phase::{read_collective, write_collective, Piece, Span};
 use iosim_machine::shard::ShardSpec;
-use iosim_machine::{Interface, Machine, MachineConfig};
-use iosim_msg::{ShardLink, ShardSignal, World};
-use iosim_pfs::{CreateOptions, FileHandle, FileSystem, IoRequest};
-use iosim_simkit::executor::{join_all, Sim};
+use iosim_machine::{Interface, MachineConfig};
+use iosim_pfs::{CreateOptions, FileHandle, IoRequest};
+use iosim_simkit::executor::{JoinHandle, Sim, SimHandle};
 use iosim_simkit::hash::FxHashMap;
-use iosim_simkit::shard::SendPromise;
+use iosim_simkit::shard::{Outbox, SendPromise};
 use iosim_simkit::sync::{channel, Event};
 use iosim_simkit::time::{SimDuration, SimTime};
 use iosim_trace::{
@@ -48,6 +45,7 @@ use iosim_trace::{
 };
 
 use crate::opstream::{OpStream, TraceKind, WorkKind};
+use crate::run::{run_ranks, spawn_ranks, AppCtx, RunResult};
 use crate::synth::{self, SynthSpec, TimedOp};
 
 /// How the engine turns operations into file-system requests.
@@ -116,74 +114,11 @@ impl ReplaySpec {
     }
 }
 
-/// Machine-level measurements of one engine run. Field-for-field the
-/// same data `iosim_apps::common::RunResult` carries (`iosim-apps`
-/// converts with `From`) but defined here so the workload crate does
-/// not depend on the applications crate.
-#[derive(Clone, Debug)]
-pub struct RunStats {
-    /// Compute nodes used.
-    pub procs: usize,
-    /// I/O nodes of the machine.
-    pub io_nodes: usize,
-    /// Wall-clock execution time of the whole run.
-    pub exec_time: SimDuration,
-    /// Wall-clock I/O time: the slowest rank's cumulative I/O time.
-    pub io_time: SimDuration,
-    /// Cumulative I/O time summed over ranks.
-    pub cum_io_time: SimDuration,
-    /// Per-op-kind summary.
-    pub summary: IoSummary,
-    /// Total bytes moved through the file system.
-    pub io_bytes: u64,
-    /// Total file-system operations.
-    pub io_ops: u64,
-    /// Request-size distribution of reads.
-    pub read_sizes: SizeHistogram,
-    /// Request-size distribution of writes.
-    pub write_sizes: SizeHistogram,
-    /// I/O load balance across ranks.
-    pub balance: BalanceStats,
-    /// Buffer-cache behaviour (all zero when uncached).
-    pub cache: CacheSnapshot,
-    /// Vectored list-I/O request shapes.
-    pub listio: ListIoSnapshot,
-    /// I/O-node command-queue behaviour.
-    pub queue: QueueSnapshot,
-    /// Scheduler events (task polls) executed by the simulation engine.
-    pub sim_events: u64,
-    /// Order-sensitive hash of the task schedule.
-    pub sched_fingerprint: u64,
-    /// Synchronization rounds the sharded engine executed (zero for
-    /// monolithic runs and degenerate shard plans). The adaptive window
-    /// lowers this without touching any schedule.
-    pub sync_rounds: u64,
-    /// Per-shard simulation-memory accounting: `current` sums the
-    /// shards' resident bytes, `peak` is the worst single shard — the
-    /// number that must scale with ranks-per-shard, not total ranks.
-    /// Zero for monolithic runs (nothing is partitioned).
-    pub shard_mem: MemSnapshot,
-    /// Host wall-clock time the simulation took to run.
-    pub host_elapsed: std::time::Duration,
-}
-
-impl RunStats {
-    /// Aggregate I/O bandwidth in MB/s (bytes over wall-clock I/O time).
-    pub fn bandwidth_mb_s(&self) -> f64 {
-        let t = self.io_time.as_secs_f64();
-        if t > 0.0 {
-            self.io_bytes as f64 / 1e6 / t
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Result of a trace replay.
 #[derive(Clone, Debug)]
 pub struct ReplayReport {
     /// Machine-level measurements.
-    pub stats: RunStats,
+    pub stats: RunResult,
     /// Per-data-operation latency (virtual time from issue to
     /// completion; in list-I/O and two-phase modes every operation of a
     /// batch records the batch's latency).
@@ -211,7 +146,7 @@ impl ReplayReport {
 #[derive(Clone, Debug)]
 pub struct OpenLoopReport {
     /// Machine-level measurements.
-    pub stats: RunStats,
+    pub stats: RunResult,
     /// Per-operation latency, measured from scheduled arrival to
     /// completion (queueing delay included).
     pub latency: LatencyHistogram,
@@ -270,83 +205,6 @@ pub fn saturation_knee(points: &[SweepPoint]) -> Option<usize> {
 }
 
 // ---------------------------------------------------------------------
-// Shared run harness
-
-type RankFuture = Pin<Box<dyn Future<Output = ()>>>;
-
-/// Build machine + file system + world, run `program` on every rank,
-/// and collect [`RunStats`] (the workload crate's copy of the
-/// `run_ranks` harness; kept independent so `iosim-apps` can wrap this
-/// crate instead of the other way round).
-fn run_world(
-    cfg: MachineConfig,
-    procs: usize,
-    program: impl Fn(WorldCtx) -> RankFuture,
-) -> RunStats {
-    let mut sim = Sim::new();
-    let trace = TraceCollector::new();
-    let machine = Machine::new(sim.handle(), cfg);
-    let io_nodes = machine.io_nodes();
-    let fs = FileSystem::new(Rc::clone(&machine), trace.clone());
-    let world = World::new(Rc::clone(&machine), procs);
-    let h = sim.handle();
-    let futs: Vec<RankFuture> = world
-        .comms()
-        .into_iter()
-        .enumerate()
-        .map(|(rank, comm)| {
-            program(WorldCtx {
-                rank,
-                comm,
-                fs: Rc::clone(&fs),
-            })
-        })
-        .collect();
-    let n = futs.len();
-    let jh = sim.spawn(async move {
-        let done = join_all(&h, futs).await;
-        done.len()
-    });
-    let host_t0 = std::time::Instant::now();
-    let end = sim.run();
-    let host_elapsed = host_t0.elapsed();
-    assert_eq!(
-        jh.try_take().expect("workload deadlocked"),
-        n,
-        "all ranks must finish"
-    );
-    RunStats {
-        procs,
-        io_nodes,
-        exec_time: end - SimTime::ZERO,
-        io_time: trace.max_rank_io_time(),
-        cum_io_time: trace.cumulative_io_time(),
-        summary: trace.summary(),
-        io_bytes: trace.total_bytes(),
-        io_ops: trace.total_ops(),
-        read_sizes: trace.read_sizes(),
-        write_sizes: trace.write_sizes(),
-        balance: trace.balance(),
-        cache: trace.cache().snapshot(),
-        listio: trace.listio().snapshot(),
-        queue: trace.queue().snapshot(),
-        sim_events: sim.events_processed(),
-        sched_fingerprint: sim.schedule_fingerprint(),
-        sync_rounds: 0,
-        shard_mem: trace.mem().snapshot(),
-        host_elapsed,
-    }
-}
-
-/// Everything one simulated rank needs (the machine is reachable
-/// through the file system).
-struct WorldCtx {
-    rank: usize,
-    comm: iosim_msg::Comm,
-    fs: Rc<FileSystem>,
-}
-
-// ---------------------------------------------------------------------
 // Trace replay
 
 struct ReplayShared {
@@ -355,7 +213,7 @@ struct ReplayShared {
     /// One completion event per op slot that something waits on. In a
     /// sharded run the tail slots (past the local ops) stand in for
     /// foreign dependency targets and are set by incoming dep tokens;
-    /// shared with the shard link's dep handler, hence the `Rc`.
+    /// shared with the shard's token delivery hook, hence the `Rc`.
     events: Rc<Vec<Option<Event<()>>>>,
     /// Per-rank op indices in program order, indexed by `rank - rank_base`.
     per_rank: Vec<Vec<usize>>,
@@ -371,16 +229,22 @@ struct ReplayShared {
 }
 
 /// Cross-shard dependency bridge: everything a sharded replay shard
-/// needs to notify foreign waiters that a labelled op completed. The
-/// tokens ride the shard link's mailboxes under the same
-/// `(deliver_at, src, seq)` total order as barrier arrivals, so the
-/// receiving shard's wakeups are deterministic at every worker count.
+/// needs to notify foreign waiters that a labelled op completed. Each
+/// dep token is the op's global index, sent through the engine outbox
+/// one lookahead after completion (the cheapest latency any cross-shard
+/// interaction can carry) and delivered in the engine's
+/// `(deliver_at, src, seq)` total order, so the receiving shard's
+/// wakeups are deterministic at every worker count.
 struct DepBridge {
-    link: ShardLink,
+    outbox: Outbox<u64>,
+    handle: SimHandle,
+    /// This shard's index (tokens never go to it).
+    shard: usize,
+    lookahead: SimDuration,
     promise: SendPromise,
     /// Per local op: foreign shards to notify when it completes.
     tokens: Vec<Vec<usize>>,
-    /// Per local op: its index in the source stream (the token id).
+    /// Per local op: its index in the source stream (the token).
     global: Vec<u64>,
     /// Local ops with foreign waiters not yet signalled. Dep tokens are
     /// the only cross-shard traffic a replay shard ever sends (barriers
@@ -398,8 +262,10 @@ impl ReplayShared {
         }
         if let Some(b) = &self.bridge {
             if !b.tokens[i].is_empty() {
+                let at = b.handle.now() + b.lookahead;
                 for &dst in &b.tokens[i] {
-                    b.link.send_dep_token(dst, b.global[i]);
+                    assert_ne!(dst, b.shard, "dep token to own shard");
+                    b.outbox.send(dst, at, b.global[i]);
                 }
                 b.pending.set(b.pending.get() - 1);
                 if b.pending.get() == 0 {
@@ -474,15 +340,8 @@ pub fn replay(stream: &OpStream, spec: &ReplaySpec) -> ReplayReport {
         bridge: None,
     });
     let sh = Rc::clone(&shared);
-    let stats = run_world(spec.machine.clone(), n.max(1), move |ctx| {
-        let sh = Rc::clone(&sh);
-        Box::pin(async move {
-            match sh.mode {
-                ReplayMode::TwoPhase { window } => replay_two_phase(ctx, sh, window).await,
-                ReplayMode::Direct => replay_serial(ctx, sh, 1).await,
-                ReplayMode::ListIo { batch } => replay_serial(ctx, sh, batch).await,
-            }
-        })
+    let stats = run_ranks(spec.machine.clone(), n.max(1), move |ctx| {
+        Box::pin(replay_rank(ctx, Rc::clone(&sh)))
     });
     let latency = shared.latency.borrow().clone();
     ReplayReport {
@@ -490,6 +349,15 @@ pub fn replay(stream: &OpStream, spec: &ReplaySpec) -> ReplayReport {
         latency,
         data_ops: stream.data_ops(),
         data_bytes: stream.data_bytes(),
+    }
+}
+
+/// One rank's replay program under the spec's mode.
+async fn replay_rank(ctx: AppCtx, sh: Rc<ReplayShared>) {
+    match sh.mode {
+        ReplayMode::TwoPhase { window } => replay_two_phase(ctx, sh, window).await,
+        ReplayMode::Direct => replay_serial(ctx, sh, 1).await,
+        ReplayMode::ListIo { batch } => replay_serial(ctx, sh, batch).await,
     }
 }
 
@@ -503,7 +371,7 @@ fn data_parts(kind: &WorkKind) -> Option<(bool, u64, u64)> {
 }
 
 async fn ensure_open(
-    ctx: &WorldCtx,
+    ctx: &AppCtx,
     sh: &ReplayShared,
     handles: &mut FxHashMap<usize, FileHandle>,
     file: usize,
@@ -530,13 +398,13 @@ type PendingRun = (usize, bool, Vec<(u64, u64)>, Vec<usize>);
 /// Direct and list-I/O replay: walk the rank's program order; with
 /// `batch > 1`, coalesce runs of same-file same-direction data ops into
 /// vectored requests.
-async fn replay_serial(ctx: WorldCtx, sh: Rc<ReplayShared>, batch: usize) {
+async fn replay_serial(ctx: AppCtx, sh: Rc<ReplayShared>, batch: usize) {
     let mine = sh
         .per_rank
         .get(ctx.rank - sh.rank_base)
         .cloned()
         .unwrap_or_default();
-    let h = ctx.fs.machine().handle().clone();
+    let h = ctx.machine.handle().clone();
     let mut handles: FxHashMap<usize, FileHandle> = FxHashMap::default();
     let mut pending: Option<PendingRun> = None;
     macro_rules! flush {
@@ -628,8 +496,8 @@ async fn replay_serial(ctx: WorldCtx, sh: Rc<ReplayShared>, batch: usize) {
 
 /// Two-phase collective replay: every rank opens every file, then the
 /// ranks walk each file's windows in lockstep.
-async fn replay_two_phase(ctx: WorldCtx, sh: Rc<ReplayShared>, window: usize) {
-    let h = ctx.fs.machine().handle().clone();
+async fn replay_two_phase(ctx: AppCtx, sh: Rc<ReplayShared>, window: usize) {
+    let h = ctx.machine.handle().clone();
     let mut fhs: Vec<FileHandle> = Vec::with_capacity(sh.stream.files.len());
     for (f, name) in sh.stream.files.iter().enumerate() {
         let fh = ctx
@@ -693,7 +561,7 @@ async fn replay_two_phase(ctx: WorldCtx, sh: Rc<ReplayShared>, window: usize) {
 // Sharded replay
 
 /// Machine-level measurements one shard of a sharded run reports back
-/// (the per-shard half of [`RunStats`], merged by [`merge_shard_outs`]).
+/// (the per-shard half of [`RunResult`], merged by [`merge_shard_outs`]).
 struct ShardIoOut {
     per_rank_io: Vec<SimDuration>,
     cum_io_time: SimDuration,
@@ -733,6 +601,25 @@ impl ShardIoOut {
     }
 }
 
+/// One shard's slice of the machine, on the parent mesh (global ranks
+/// keep their real coordinates).
+fn shard_machine(cfg: &MachineConfig, sspec: &ShardSpec) -> MachineConfig {
+    cfg.clone()
+        .with_compute_nodes(sspec.ranks.max(1))
+        .with_io_nodes(sspec.io_nodes.max(1))
+}
+
+/// Check at the end of a sharded run that every rank of the shard
+/// finished.
+fn join_shard(jh: &JoinHandle<usize>, sspec: &ShardSpec) {
+    assert_eq!(
+        jh.try_take().expect("shard deadlocked"),
+        sspec.ranks,
+        "all ranks of shard {} must finish",
+        sspec.index
+    );
+}
+
 /// Scalars of one sharded engine run, folded together with the
 /// per-shard outputs by [`merge_shard_outs`].
 struct ShardRunMeta {
@@ -746,8 +633,8 @@ struct ShardRunMeta {
 }
 
 /// Fold per-shard outputs (shard-index order, so every merge is
-/// deterministic) into [`RunStats`] plus the merged latency histogram.
-fn merge_shard_outs(meta: ShardRunMeta, outs: Vec<ShardIoOut>) -> (RunStats, LatencyHistogram) {
+/// deterministic) into [`RunResult`] plus the merged latency histogram.
+fn merge_shard_outs(meta: ShardRunMeta, outs: Vec<ShardIoOut>) -> (RunResult, LatencyHistogram) {
     let mut rank_times: Vec<SimDuration> = Vec::with_capacity(meta.ranks);
     let mut summary: Option<IoSummary> = None;
     let mut cum_io_time = SimDuration::ZERO;
@@ -781,7 +668,7 @@ fn merge_shard_outs(meta: ShardRunMeta, outs: Vec<ShardIoOut>) -> (RunStats, Lat
         .iter()
         .copied()
         .fold(SimDuration::ZERO, SimDuration::max);
-    let stats = RunStats {
+    let stats = RunResult {
         procs: meta.ranks,
         io_nodes: meta.io_nodes,
         exec_time: meta.end_time - SimTime::ZERO,
@@ -843,7 +730,7 @@ fn replay_shard_footprint(
 /// executor, run by up to `workers` host threads.
 ///
 /// Cross-rank dependency edges that cross a shard boundary become
-/// completion-notification *dep tokens* on the shard-link mailboxes:
+/// completion-notification *dep tokens* sent through the engine outbox:
 /// the owning shard tokens every waiting shard when the labelled op
 /// completes, and the waiting shard's local stand-in event fires when
 /// the token arrives (one conservative lookahead later — a pessimistic
@@ -863,7 +750,7 @@ pub fn replay_threaded(stream: &OpStream, spec: &ReplaySpec, workers: usize) -> 
 /// [`replay_threaded`] under the static window protocol: send promises
 /// are ignored, every round advances by one lookahead. Schedules and
 /// fingerprints are identical to the adaptive run — only
-/// [`RunStats::sync_rounds`] differs. This is the baseline the bench
+/// [`RunResult::sync_rounds`] differs. This is the baseline the bench
 /// ladder measures the adaptive window against.
 pub fn replay_threaded_static(
     stream: &OpStream,
@@ -926,23 +813,9 @@ fn replay_threaded_inner(
         .iter()
         .cloned()
         .map(|sspec| {
-            move |ctx: ShardCtx<ShardSignal>| -> ShardRuntime<ShardSignal, ShardIoOut> {
+            move |ctx: ShardCtx<u64>| -> ShardRuntime<u64, ShardIoOut> {
                 let sim = Sim::new();
                 let trace = TraceCollector::new();
-                let sub_cfg = cfg
-                    .clone()
-                    .with_compute_nodes(sspec.ranks.max(1))
-                    .with_io_nodes(sspec.io_nodes.max(1));
-                let machine = Machine::new(sim.handle(), sub_cfg);
-                let fs = FileSystem::new(Rc::clone(&machine), trace.clone());
-                let world = World::new(Rc::clone(&machine), sspec.ranks);
-                let link = ShardLink::new(
-                    sim.handle(),
-                    ctx.index,
-                    ctx.shards,
-                    ctx.lookahead,
-                    ctx.outbox,
-                );
 
                 // Project the stream onto this shard: local ops keep
                 // their relative order; dependency edges are rewritten
@@ -1015,13 +888,7 @@ fn replay_threaded_inner(
                     .filter(|&(_, &s)| s >= local_n)
                     .map(|(&g, &s)| (g as u64, s))
                     .collect();
-                {
-                    let events = Rc::clone(&events);
-                    link.set_dep_handler(Box::new(move |g| {
-                        let slot = *token_slots.get(&g).expect("dep token for unknown op");
-                        events[slot].as_ref().expect("dep token event").set(());
-                    }));
-                }
+                let deliver_events = Rc::clone(&events);
                 if pending == 0 {
                     // No foreign waiters: this shard never sends.
                     ctx.promise.promise_never_sends();
@@ -1045,53 +912,36 @@ fn replay_threaded_inner(
                     iface,
                     mode,
                     bridge: Some(DepBridge {
-                        link: link.clone(),
+                        outbox: ctx.outbox,
+                        handle: sim.handle(),
+                        shard: ctx.index,
+                        lookahead: ctx.lookahead,
                         promise: ctx.promise.clone(),
                         tokens,
                         global,
                         pending: Cell::new(pending),
                     }),
                 });
-                let futs: Vec<RankFuture> = world
-                    .comms()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(local, comm)| -> RankFuture {
-                        let sh = Rc::clone(&shared);
-                        let wctx = WorldCtx {
-                            rank: sspec.rank_base + local,
-                            comm,
-                            fs: Rc::clone(&fs),
-                        };
-                        Box::pin(async move {
-                            match sh.mode {
-                                ReplayMode::TwoPhase { window } => {
-                                    replay_two_phase(wctx, sh, window).await
-                                }
-                                ReplayMode::Direct => replay_serial(wctx, sh, 1).await,
-                                ReplayMode::ListIo { batch } => {
-                                    replay_serial(wctx, sh, batch).await
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                let n_futs = futs.len();
-                let h = sim.handle();
-                let jh = sim.spawn(async move {
-                    let done = join_all(&h, futs).await;
-                    done.len()
-                });
+                let sh = Rc::clone(&shared);
+                let (jh, _) = spawn_ranks(
+                    &sim,
+                    shard_machine(cfg, &sspec),
+                    &trace,
+                    sspec.ranks,
+                    sspec.rank_base,
+                    move |ctx| Box::pin(replay_rank(ctx, Rc::clone(&sh))),
+                );
                 ShardRuntime {
                     sim,
-                    deliver: Box::new(move |sig| link.deliver(sig)),
+                    deliver: Box::new(move |g| {
+                        let slot = *token_slots.get(&g).expect("dep token for unknown op");
+                        deliver_events[slot]
+                            .as_ref()
+                            .expect("dep token event")
+                            .set(());
+                    }),
                     finish: Box::new(move || {
-                        assert_eq!(
-                            jh.try_take().expect("replay shard deadlocked"),
-                            n_futs,
-                            "all ranks of shard {} must finish",
-                            sspec.index
-                        );
+                        join_shard(&jh, &sspec);
                         ShardIoOut::collect(&trace, &sspec, shared.latency.borrow().clone())
                     }),
                 }
@@ -1193,7 +1043,7 @@ pub fn run_open_loop(synth: &SynthSpec, spec: &ReplaySpec) -> OpenLoopReport {
     let sh = Rc::clone(&shared);
     let iface = spec.iface;
     let mode = spec.mode;
-    let stats = run_world(spec.machine.clone(), ranks, move |ctx| {
+    let stats = run_ranks(spec.machine.clone(), ranks, move |ctx| {
         let sh = Rc::clone(&sh);
         let my_clients = per_rank[ctx.rank].clone();
         let files = Rc::clone(&files);
@@ -1226,7 +1076,7 @@ fn open_loop_extent(synth: &SynthSpec) -> u64 {
 /// Assemble an [`OpenLoopReport`] from the run's raw measurements.
 fn open_loop_report(
     synth: &SynthSpec,
-    stats: RunStats,
+    stats: RunResult,
     latency: LatencyHistogram,
     offered_ops: u64,
     completed_ops: u64,
@@ -1257,7 +1107,7 @@ fn open_loop_report(
 /// One rank's open-loop program: open every file, then drive this rank's
 /// clients (shared by the monolithic and sharded runners).
 async fn open_loop_rank(
-    ctx: WorldCtx,
+    ctx: AppCtx,
     sh: Rc<OpenLoopShared>,
     my_clients: Vec<Vec<TimedOp>>,
     files: Rc<Vec<String>>,
@@ -1276,7 +1126,7 @@ async fn open_loop_rank(
         fhs.push(fh);
     }
     let fhs = Rc::new(fhs);
-    let h = ctx.fs.machine().handle().clone();
+    let h = ctx.machine.handle().clone();
     let start = h.now();
     match mode {
         ReplayMode::TwoPhase { window } => {
@@ -1373,7 +1223,7 @@ pub fn run_open_loop_threaded(
 
 /// [`run_open_loop_threaded`] under the static window protocol (send
 /// promises ignored; identical schedules and fingerprints, only
-/// [`RunStats::sync_rounds`] differs) — the bench baseline the adaptive
+/// [`RunResult::sync_rounds`] differs) — the bench baseline the adaptive
 /// window is measured against.
 pub fn run_open_loop_threaded_static(
     synth: &SynthSpec,
@@ -1428,15 +1278,6 @@ fn run_open_loop_threaded_inner(
                 ctx.promise.promise_never_sends();
                 let sim = Sim::new();
                 let trace = TraceCollector::new();
-                // This shard's slice of the machine, on the parent mesh
-                // (global ranks keep their real coordinates).
-                let sub_cfg = cfg
-                    .clone()
-                    .with_compute_nodes(sspec.ranks.max(1))
-                    .with_io_nodes(sspec.io_nodes.max(1));
-                let machine = Machine::new(sim.handle(), sub_cfg);
-                let fs = FileSystem::new(Rc::clone(&machine), trace.clone());
-                let world = World::new(Rc::clone(&machine), sspec.ranks);
                 let shared = Rc::new(OpenLoopShared {
                     latency: RefCell::new(LatencyHistogram::new()),
                     completed: Cell::new(0),
@@ -1455,43 +1296,31 @@ fn run_open_loop_threaded_inner(
                         as u64
                         + LatencyHistogram::footprint_bytes(),
                 );
-                let futs: Vec<RankFuture> = world
-                    .comms()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(local, comm)| -> RankFuture {
-                        let rank = sspec.rank_base + local;
+                let sh = Rc::clone(&shared);
+                let (jh, _) = spawn_ranks(
+                    &sim,
+                    shard_machine(cfg, &sspec),
+                    &trace,
+                    sspec.ranks,
+                    sspec.rank_base,
+                    move |ctx| {
+                        let my_clients = per_rank[ctx.rank].clone();
                         Box::pin(open_loop_rank(
-                            WorldCtx {
-                                rank,
-                                comm,
-                                fs: Rc::clone(&fs),
-                            },
-                            Rc::clone(&shared),
-                            per_rank[rank].clone(),
+                            ctx,
+                            Rc::clone(&sh),
+                            my_clients,
                             Rc::clone(&shard_files),
                             extent,
                             iface,
                             mode,
                         ))
-                    })
-                    .collect();
-                let n = futs.len();
-                let h = sim.handle();
-                let jh = sim.spawn(async move {
-                    let done = join_all(&h, futs).await;
-                    done.len()
-                });
+                    },
+                );
                 ShardRuntime {
                     sim,
                     deliver: Box::new(|_| {}),
                     finish: Box::new(move || {
-                        assert_eq!(
-                            jh.try_take().expect("open-loop shard deadlocked"),
-                            n,
-                            "all ranks of shard {} must finish",
-                            sspec.index
-                        );
+                        join_shard(&jh, &sspec);
                         OpenLoopShardOut {
                             io: ShardIoOut::collect(
                                 &trace,

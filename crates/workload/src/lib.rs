@@ -27,6 +27,10 @@
 //!   records per-op latency percentiles (p50/p99/p999 via
 //!   [`iosim_trace::LatencyHistogram`]), offered-vs-achieved throughput,
 //!   and detects the saturation knee of a rate sweep.
+//! - [`run`] — the run harness every simulation goes through (build the
+//!   machine, file system and world, spawn the ranks, collect the
+//!   measurements) and its report type, [`RunResult`], shared with the
+//!   in-tree applications.
 //!
 //! Everything is deterministic: a fixed seed and spec reproduce the same
 //! virtual-time trajectory bit-for-bit (the round-trip and determinism
@@ -36,6 +40,7 @@ pub mod arrival;
 pub mod darshan;
 pub mod engine;
 pub mod opstream;
+pub mod run;
 pub mod synth;
 
 pub use arrival::ArrivalModel;
@@ -43,10 +48,11 @@ pub use darshan::DarshanSummary;
 pub use engine::{
     replay, replay_threaded, replay_threaded_static, run_open_loop, run_open_loop_threaded,
     run_open_loop_threaded_static, saturation_knee, OpenLoopReport, ReplayMode, ReplayReport,
-    ReplaySpec, RunStats, SweepPoint,
+    ReplaySpec, SweepPoint,
 };
 pub use opstream::{
     detect_format, parse_any, parse_legacy, parse_opstream, render_legacy, render_opstream,
     synthesize_strided, OpStream, ParseError, TraceFormat, TraceKind, TraceOp, WorkKind, WorkOp,
 };
+pub use run::{run_ranks, AppCtx, RankFuture, RunResult};
 pub use synth::{SynthSpec, TimedOp};

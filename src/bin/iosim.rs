@@ -70,11 +70,14 @@ impl Opts {
     fn str_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
         self.0.get(key).map(String::as_str).unwrap_or(default)
     }
-    /// `--scale`, a problem-size factor: finite and > 0.
-    fn scale(&self) -> f64 {
-        match self.0.get("scale") {
-            Some(v) => iosim::bench::parse_scale(v).unwrap_or_else(|e| die(&e)),
-            None => 1.0,
+    /// A real-valued flag that must be finite and > 0 (`--scale`,
+    /// `--rate`, `--duration`, ...).
+    fn positive(&self, key: &str, default: f64) -> f64 {
+        match self.0.get(key) {
+            Some(v) => {
+                iosim::bench::parse_positive(&format!("--{key}"), v).unwrap_or_else(|e| die(&e))
+            }
+            None => default,
         }
     }
     /// A count flag that must be at least 1.
@@ -117,10 +120,7 @@ fn threads(o: &Opts) -> Option<usize> {
     if o.0.contains_key("threads") {
         return Some(o.get("threads", 1).max(1));
     }
-    std::env::var("IOSIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 1)
+    iosim::bench::parallel::env_threads().filter(|&n| n > 1)
 }
 
 fn parse_flags(args: impl Iterator<Item = String>) -> Opts {
@@ -164,7 +164,7 @@ fn run_scf11(o: &Opts) -> RunResult {
         io_nodes: o.count("io-nodes", 12),
         mem_kb: o.get("mem-kb", 64),
         stripe_unit_kb: o.count("stripe-kb", 64) as u64,
-        scale: o.scale(),
+        scale: o.positive("scale", 1.0),
         cache_mb: o.get("cache", 0),
         queue_depth: o.get("queue-depth", 1),
         ..scf11::Scf11Config::new(input, version)
@@ -190,7 +190,7 @@ fn run_scf30(o: &Opts) -> RunResult {
         io_nodes: o.count("io-nodes", 16),
         balanced: !o.flag("unbalanced"),
         prefetch: !o.flag("no-prefetch"),
-        scale: o.scale(),
+        scale: o.positive("scale", 1.0),
         cache_mb: o.get("cache", 0),
         queue_depth: o.get("queue-depth", 1),
         ..scf30::Scf30Config::new(scf11::ScfInput::Medium, o.count("procs", 32), cached)
@@ -337,7 +337,7 @@ fn run_replay(o: &Opts) -> RunResult {
     );
     let report = match threads(o) {
         // Cross-rank trace dependencies become cross-shard dep tokens
-        // on the shard-link mailboxes; virtual times stay bit-identical
+        // sent through the engine outbox; virtual times stay bit-identical
         // at every worker count.
         Some(t) => workload::replay_threaded(&stream, &spec, t),
         None => workload::replay(&stream, &spec),
@@ -348,17 +348,23 @@ fn run_replay(o: &Opts) -> RunResult {
         report.ops_per_sec()
     );
     println!("engine         : {}", engine_line(o, &report.stats));
-    report.stats.into()
+    report.stats
 }
 
 fn run_synth(o: &Opts) -> RunResult {
     use iosim::workload::{ArrivalModel, SynthSpec};
-    let rate: f64 = o.get("rate", 20.0);
+    let rate = o.positive("rate", 20.0);
     let arrival = if o.flag("bursty") {
+        let mean_off: f64 = o.get("mean-off", 0.3);
+        if !(mean_off.is_finite() && mean_off >= 0.0) {
+            die(&format!(
+                "--mean-off must be a finite number >= 0, got '{mean_off}'"
+            ));
+        }
         ArrivalModel::Bursty {
             on_rate: rate,
-            mean_on: o.get("mean-on", 0.1),
-            mean_off: o.get("mean-off", 0.3),
+            mean_on: o.positive("mean-on", 0.1),
+            mean_off,
         }
         .with_mean_rate(rate)
     } else {
@@ -366,7 +372,7 @@ fn run_synth(o: &Opts) -> RunResult {
     };
     let synth = SynthSpec {
         clients: o.count("clients", 64),
-        duration: iosim::simkit::time::SimDuration::from_secs_f64(o.get("duration", 1.0)),
+        duration: iosim::simkit::time::SimDuration::from_secs_f64(o.positive("duration", 1.0)),
         arrival,
         read_frac: o.get("read-frac", 0.5),
         op_bytes: (o.count("op-kb", 64) as u64) << 10,
@@ -409,7 +415,7 @@ fn run_synth(o: &Opts) -> RunResult {
             ""
         }
     );
-    report.stats.into()
+    report.stats
 }
 
 /// Parse a comma-separated `--flag a,b,c` list; absent flag = `default`.
@@ -456,8 +462,17 @@ fn hint_grid(o: &Opts) -> iosim::optim::HintGrid {
     }
 }
 
-/// The query workload + batch advisor shared by `sweep` and `advise`.
-fn advisor_setup(o: &Opts) -> (&'static str, iosim::bench::advisor::BatchAdvisor) {
+/// The query workload + batch advisor shared by `sweep` and `advise`,
+/// plus the `--memo-file` that persists the memo cache across processes
+/// (`--memo N` is the in-memory capacity). A missing or corrupt file
+/// starts cold.
+fn advisor_setup(
+    o: &Opts,
+) -> (
+    &'static str,
+    iosim::bench::advisor::BatchAdvisor,
+    Option<std::path::PathBuf>,
+) {
     use iosim::apps::hinted::{workload_index, WORKLOADS};
     let name = o.str_or("workload", "synth");
     let Some(idx) = workload_index(name) else {
@@ -470,8 +485,24 @@ fn advisor_setup(o: &Opts) -> (&'static str, iosim::bench::advisor::BatchAdvisor
         Some(t) => t,
         None => iosim::bench::parallel::default_threads(),
     };
-    let advisor = iosim::bench::advisor::BatchAdvisor::new(o.get("memo", 256), threads);
-    (WORKLOADS[idx], advisor)
+    let mut advisor = iosim::bench::advisor::BatchAdvisor::new(o.get("memo", 256), threads);
+    let memo_file = o.0.get("memo-file").map(std::path::PathBuf::from);
+    if let Some(path) = &memo_file {
+        let n = advisor.load(path);
+        eprintln!("memo file: restored {n} entries from {}", path.display());
+    }
+    (WORKLOADS[idx], advisor, memo_file)
+}
+
+/// Save the memo cache to `--memo-file`, if one was given. Runs after
+/// the report has printed; a failed save exits 2 naming the path.
+fn save_memo(advisor: &iosim::bench::advisor::BatchAdvisor, memo_file: Option<&std::path::Path>) {
+    if let Some(path) = memo_file {
+        match advisor.save(path) {
+            Ok(n) => eprintln!("memo file: saved {n} entries to {}", path.display()),
+            Err(e) => die(&format!("memo file {}: save failed: {e}", path.display())),
+        }
+    }
 }
 
 /// `iosim sweep`: evaluate a batch of what-if queries over a hint grid
@@ -481,7 +512,7 @@ fn advisor_setup(o: &Opts) -> (&'static str, iosim::bench::advisor::BatchAdvisor
 /// while wall-clock timing goes to stderr.
 fn run_sweep(o: &Opts) {
     use iosim::bench::advisor::{render_batch, Query};
-    let (workload, mut advisor) = advisor_setup(o);
+    let (workload, mut advisor, memo_file) = advisor_setup(o);
     let grid = hint_grid(o);
     if grid.is_empty() {
         die("sweep grid is empty");
@@ -496,16 +527,9 @@ fn run_sweep(o: &Opts) {
         .into_iter()
         .map(|h| Query::new(workload, h).expect("workload validated above"))
         .collect();
-    let scale = o.scale();
+    let scale = o.positive("scale", 1.0);
     if scale > 1.0 {
         die("--scale for sweep is a fidelity in (0, 1]");
-    }
-    // --memo-file persists the memo cache across processes (--memo N is
-    // the in-memory capacity). A missing or corrupt file starts cold.
-    let memo_file = o.0.get("memo-file").map(std::path::PathBuf::from);
-    if let Some(path) = &memo_file {
-        let n = advisor.load(path);
-        eprintln!("memo file: restored {n} entries from {}", path.display());
     }
     eprintln!(
         "sweep: {} queries over a {}-point grid, workload {workload}, scale {scale}",
@@ -520,17 +544,12 @@ fn run_sweep(o: &Opts) {
     print!("{}", render_batch(&report));
     let (hits, misses, evictions) = advisor.memo_counters();
     println!("memo: hits={hits} misses={misses} evictions={evictions}");
-    if let Some(path) = &memo_file {
-        match advisor.save(path) {
-            Ok(n) => eprintln!("memo file: saved {n} entries to {}", path.display()),
-            Err(e) => eprintln!("memo file: save failed: {e}"),
-        }
-    }
     eprintln!(
         "host: {:.1} ms ({:.1} queries/s)",
         wall.as_secs_f64() * 1e3,
         report.stats.queries as f64 / wall.as_secs_f64().max(1e-9)
     );
+    save_memo(&advisor, memo_file.as_deref());
 }
 
 /// `iosim advise`: successive-halving auto-tune over a hint grid —
@@ -539,7 +558,7 @@ fn run_sweep(o: &Opts) {
 /// Pareto frontier. Deterministic report on stdout, timing on stderr.
 fn run_advise(o: &Opts) {
     use iosim::bench::advisor::{render_advise, AdviseOpts};
-    let (workload, mut advisor) = advisor_setup(o);
+    let (workload, mut advisor, memo_file) = advisor_setup(o);
     let grid = hint_grid(o);
     if grid.is_empty() {
         die("advise grid is empty");
@@ -565,12 +584,13 @@ fn run_advise(o: &Opts) {
     let wall = t0.elapsed();
     print!("{}", render_advise(&report));
     eprintln!("host: {:.1} ms", wall.as_secs_f64() * 1e3);
+    save_memo(&advisor, memo_file.as_deref());
 }
 
 /// One-line engine summary: worker count and, for sharded runs, the
 /// synchronization-round count (degenerate shard plans report the
 /// monolithic fallback honestly).
-fn engine_line(o: &Opts, s: &iosim::workload::RunStats) -> String {
+fn engine_line(o: &Opts, s: &RunResult) -> String {
     match threads(o) {
         Some(t) if s.sync_rounds > 0 => {
             format!("sharded, {t} workers, {} sync rounds", s.sync_rounds)
@@ -646,7 +666,7 @@ fn usage() {
          \x20      --cache A,B --queue-depth A,B --agg A,B --interface fortran,unix,passion\n\
          \x20      --stripe-kb A,B --io-nodes A,B --threads-hint A,B\n\
          \x20      [--sample N --seed S] [--scale F] [--memo N] [--memo-file PATH] [--threads T]\n\
-         advise: same grid flags as sweep, plus [--coarse F] [--keep N]\n\
+         advise: same grid and memo flags as sweep, plus [--coarse F] [--keep N]\n\
          \x20      (successive halving: coarse rounds prune, survivors run full fidelity)"
     );
 }

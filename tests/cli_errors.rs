@@ -81,6 +81,31 @@ fn bad_scale_exits_2() {
 }
 
 #[test]
+fn bad_arrival_flags_exit_2() {
+    // `--rate inf` would never finish; NaN and non-positive rates, means
+    // or durations would panic or run an empty window and exit 0.
+    for bad in ["0", "-5", "nan", "inf"] {
+        assert_located_error(&["synth", "--rate", bad], "--rate");
+        assert_located_error(&["synth", "--duration", bad], "--duration");
+        assert_located_error(&["synth", "--bursty", "--mean-on", bad], "--mean-on");
+    }
+    for bad in ["-1", "nan", "inf"] {
+        assert_located_error(&["synth", "--bursty", "--mean-off", bad], "--mean-off");
+    }
+}
+
+#[test]
+fn memo_save_failure_exits_2() {
+    let path = std::env::temp_dir()
+        .join(format!("iosim-cli-{}-no-such-dir", std::process::id()))
+        .join("memo");
+    let path = path.to_str().unwrap();
+    for cmd in ["sweep", "advise"] {
+        assert_located_error(&[cmd, "--memo-file", path], path);
+    }
+}
+
+#[test]
 fn bad_replay_inputs_exit_2() {
     // One write per rank: more ranks than any preset mesh holds.
     let wide: String = (0..10_000)

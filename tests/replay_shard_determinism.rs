@@ -8,7 +8,7 @@
 //! (single I/O node) must reproduce the monolithic oracle exactly,
 //! which keeps the monolithic engine the pinned reference. Cross-rank
 //! `<-dep` edges in the op-stream trace become cross-shard dependency
-//! tokens on the shard-link mailboxes, so this suite is the end-to-end
+//! tokens sent through the engine outbox, so this suite is the end-to-end
 //! check that the token protocol preserves one schedule at every
 //! thread count.
 //!

@@ -22,6 +22,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "== workspace tests =="
 cargo test -q --offline --workspace
 
+echo "== perfbench tests (pins over the run harness and replay APIs) =="
+# perfbench/ is its own workspace and imports the run harness, the
+# report type and the replay entry points by path; its tests pin the
+# monolithic and sharded measurements (mono.*, sharded.*, BTIO digests)
+# at a reduced size, so a moved or reshaped API fails here.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== sharded engine determinism (IOSIM_THREADS=1 and =4) =="
 # Trace replay and the open-loop generator under the sharded engine:
 # virtual times, fingerprints and latency distributions must be
