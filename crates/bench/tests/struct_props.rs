@@ -10,7 +10,9 @@
 //! and outputs*, never timings:
 //!
 //! * extent store — every read byte-identical to a flat byte mirror under
-//!   arbitrary overlapping writes;
+//!   arbitrary overlapping writes and under 64 interleaved strided writers
+//!   (the BTIO shape), with the chunk-layout invariants checked after
+//!   every write;
 //! * LRU order — victims, dirty-scan order and per-file dirty filters
 //!   identical to a brute-force recency list;
 //! * elevator pick — dispatch order over a ring with staggered arrivals
@@ -19,6 +21,7 @@
 use iosim_buf::Bytes;
 use iosim_cache::LruSlab;
 use iosim_machine::{pick_command, CmdRing, CommandView};
+use iosim_pfs::extent::CHUNK_MAX;
 use iosim_pfs::ExtentTree;
 use iosim_simkit::rng::SimRng;
 use iosim_simkit::time::SimTime;
@@ -86,6 +89,66 @@ fn extent_tree_matches_byte_mirror() {
             tree.read(off, len).to_vec(),
             mirror[off as usize..(off + len) as usize],
             "stream: read [{off}, +{len}) diverged"
+        );
+    }
+}
+
+#[test]
+fn interleaved_writers_match_byte_mirror() {
+    // The BTIO original-half shape: 64 writers take turns, each writing
+    // its next 320-byte run into its own strided region, so every turn
+    // inserts at 64 points spread over the file and chunks split far from
+    // the tail. Then overlapping rewrites, some spanning several chunks,
+    // cut across chunk boundaries and swallow whole chunks. The layout
+    // invariants are checked after every write.
+    const WRITERS: u64 = 64;
+    const RUNS: u64 = 96;
+    const RUN: u64 = 320;
+    const SPAN: u64 = WRITERS * RUNS * RUN;
+    for seed in 0..4 {
+        let mut rng = SimRng::seed_from(0x0b71_0000 + seed);
+        let mut tree = ExtentTree::new();
+        let mut mirror = vec![0u8; SPAN as usize];
+        let mut order: Vec<u64> = (0..WRITERS).collect();
+        for j in 0..RUNS {
+            // Each turn visits the writers in a fresh seeded order.
+            for k in (1..order.len()).rev() {
+                order.swap(k, rng.range(0, k as u64 + 1) as usize);
+            }
+            for &w in &order {
+                let off = (w * RUNS + j) * RUN;
+                let fill = ((w * RUNS + j) % 251) as u8 + 1;
+                tree.write(off, Bytes::from_vec(vec![fill; RUN as usize]));
+                tree.check_invariants();
+                mirror[off as usize..(off + RUN) as usize].fill(fill);
+            }
+        }
+        assert_eq!(tree.extent_count(), (WRITERS * RUNS) as usize);
+        assert_eq!(
+            tree.read(0, SPAN).to_vec(),
+            mirror,
+            "seed {seed}: strided phase"
+        );
+        for step in 0..300u64 {
+            let off = rng.range(0, SPAN - 1);
+            // Up to three chunks' worth of runs, unaligned.
+            let len = rng.range(1, (SPAN - off).min(3 * CHUNK_MAX as u64 * RUN) + 1);
+            let fill = (step % 251) as u8 + 1;
+            tree.write(off, Bytes::from_vec(vec![fill; len as usize]));
+            tree.check_invariants();
+            mirror[off as usize..(off + len) as usize].fill(fill);
+            let off = rng.range(0, SPAN - 1);
+            let len = rng.range(1, (SPAN - off).min(2 * CHUNK_MAX as u64 * RUN) + 1);
+            assert_eq!(
+                tree.read(off, len).to_vec(),
+                mirror[off as usize..(off + len) as usize],
+                "seed {seed} step {step}: read [{off}, +{len}) diverged"
+            );
+        }
+        assert_eq!(
+            tree.read(0, SPAN).to_vec(),
+            mirror,
+            "seed {seed}: final sweep"
         );
     }
 }

@@ -5,7 +5,7 @@
 //! buffer sizes, striping parameters) that an MPI-IO implementation may
 //! honor or ignore per file. This module is that production form for the
 //! simulator: [`Hints`] names every machine/runtime knob grown over the
-//! previous PRs (buffer cache, command-queue depth, aggregator count,
+//! previous PRs (buffer cache, command-queue depth, two-phase window,
 //! client interface, stripe unit, stripe factor, engine threads), with
 //!
 //! - **validation** — every knob range-checked against the documented
@@ -31,7 +31,7 @@ use iosim_simkit::rng::SimRng;
 pub const MAX_CACHE_MB: u64 = 4096;
 /// Largest I/O-node command-queue depth.
 pub const MAX_QUEUE_DEPTH: usize = 256;
-/// Largest two-phase aggregator count (0 = collective path off).
+/// Largest two-phase hint, [`Hints::aggregators`] (0 = collective path off).
 pub const MAX_AGGREGATORS: usize = 4096;
 /// Largest stripe unit, in KB (canonical stripe units are powers of two).
 pub const MAX_STRIPE_UNIT_KB: u64 = 16_384;
@@ -76,7 +76,10 @@ pub struct Hints {
     pub cache_mb: u64,
     /// I/O-node command-queue depth (0 and 1 = the legacy FIFO).
     pub io_queue_depth: usize,
-    /// Two-phase aggregator count (0 = collective optimization off).
+    /// Two-phase collective hint (0 = collective optimization off). Not
+    /// a count of aggregator ranks: on `synth` it is the two-phase window
+    /// in operations per rank (`ReplaySpec::two_phase`), and on BTIO and
+    /// AST any value above 0 selects the two-phase version.
     pub aggregators: usize,
     /// Client interface (Fortran records, UNIX-style, or PASSION).
     pub interface: Interface,

@@ -123,37 +123,6 @@ impl Comm {
             .collect()
     }
 
-    /// Personalized all-to-all with the pairwise-exchange schedule: in
-    /// round `k`, rank `r` exchanges with partner `(r + k) mod P` — every
-    /// rank sends and receives exactly once per round, avoiding the
-    /// receiver hot-spotting the naive schedule can produce. Semantically
-    /// identical to [`Comm::alltoallv`].
-    pub async fn alltoallv_pairwise(&self, to_each: Vec<Payload>) -> Vec<Payload> {
-        assert_eq!(
-            to_each.len(),
-            self.size(),
-            "alltoallv needs one payload per rank"
-        );
-        let t = self.next_coll_tag();
-        let n = self.size();
-        let me = self.rank();
-        let mut out: Vec<Option<Payload>> = (0..n).map(|_| None).collect();
-        out[me] = Some(to_each[me].clone());
-        for k in 1..n {
-            let send_to = (me + k) % n;
-            let recv_from = (me + n - k) % n;
-            // Post the send non-blockingly so reciprocal rounds overlap.
-            let round_tag = t + ((k as u64) << 32);
-            let s = self.isend(send_to, round_tag, to_each[send_to].clone());
-            let (_, p) = self.recv(MatchSrc::Rank(recv_from), round_tag).await;
-            s.await;
-            out[recv_from] = Some(p);
-        }
-        out.into_iter()
-            .map(|p| p.expect("all rounds ran"))
-            .collect()
-    }
-
     /// Sum-reduce an `f64` across ranks; every rank returns the total.
     pub async fn allreduce_sum(&self, value: f64) -> f64 {
         let t1 = self.next_coll_tag();
@@ -296,47 +265,6 @@ mod tests {
                 assert_eq!(v, &vec![src as u8, me as u8]);
             }
         }
-    }
-
-    #[test]
-    fn pairwise_alltoall_matches_linear() {
-        let outs = run_ranks(5, |c| async move {
-            let me = c.rank() as u8;
-            let to_each: Vec<Payload> = (0..5)
-                .map(|d| Payload::bytes(vec![me, d as u8, me ^ d as u8]))
-                .collect();
-            let a = c.alltoallv(to_each.clone()).await;
-            let b = c.alltoallv_pairwise(to_each).await;
-            (a, b)
-        });
-        for (a, b) in outs {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn pairwise_alltoall_avoids_receiver_hotspots() {
-        // With large payloads and many ranks the pairwise schedule should
-        // be at least as fast as the naive one.
-        let time_of = |pairwise: bool| -> f64 {
-            let outs = run_ranks(16, move |c| async move {
-                let h = c.machine().handle().clone();
-                let to_each: Vec<Payload> = (0..16).map(|_| Payload::synthetic(1 << 20)).collect();
-                if pairwise {
-                    c.alltoallv_pairwise(to_each).await;
-                } else {
-                    c.alltoallv(to_each).await;
-                }
-                h.now().as_secs_f64()
-            });
-            outs.into_iter().fold(0.0, f64::max)
-        };
-        let naive = time_of(false);
-        let pairwise = time_of(true);
-        assert!(
-            pairwise <= naive * 1.05,
-            "pairwise {pairwise} should not lose to naive {naive}"
-        );
     }
 
     #[test]

@@ -17,6 +17,5 @@
 pub mod codec;
 pub mod collective;
 pub mod comm;
-pub mod tree;
 
 pub use comm::{Comm, MatchSrc, Payload, World};

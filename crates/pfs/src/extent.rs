@@ -14,50 +14,59 @@
 //!
 //! # Layout (DESIGN.md §19)
 //!
-//! The extents live in a **flat arena**: a sorted `Vec<(start, u32)>`
-//! index into a slab of `Bytes` slots. Lookup is a binary search over the
-//! contiguous index — no pointer chasing through `BTreeMap` nodes — and
-//! because file I/O is overwhelmingly sequential, a one-entry **cursor
-//! cache** remembers the last lookup's position: when the next operation
-//! lands at or just after it (the sequential case), the bound check
-//! answers in O(1) and the binary search is skipped entirely. The cursor
-//! is an optimization only — every operation computes the same partition
-//! point it would have without it, so contents are position-independent.
+//! The extents live in a **two-level chunked index**: sorted, non-empty
+//! chunks of at most [`CHUNK_MAX`] `(start, Bytes)` entries, plus a
+//! `firsts` vector holding each chunk's first start offset. A lookup
+//! binary-searches `firsts`, then the one chunk it names; an insert or
+//! removal moves at most one chunk's tail, however large the file grows.
+//! A chunk that grows past [`CHUNK_MAX`] splits in half; a chunk emptied
+//! by an overwrite is dropped. A **cursor** `(chunk, index)` remembers
+//! the last operation's position: when the next operation lands at or
+//! one entry past it (the sequential case), both searches are skipped.
+//! The cursor is an optimization only — every operation computes the
+//! same partition point it would have without it, so contents are
+//! position-independent.
 
 use std::cell::Cell;
 
 use iosim_buf::{zeros, Bytes, BytesList};
 use iosim_trace::structs as stally;
 
+/// Most entries one chunk holds; a chunk growing past it splits in half.
+pub const CHUNK_MAX: usize = 512;
+
 /// Non-overlapping byte extents of one stored file.
 ///
-/// Equality compares logical contents (offset → bytes), not arena slot
-/// assignment or cursor position.
+/// Equality compares logical contents (offset → bytes), not the chunk
+/// layout or cursor position.
 #[derive(Clone, Debug, Default)]
 pub struct ExtentTree {
-    /// `(start offset, arena slot)`, sorted by start.
-    index: Vec<(u64, u32)>,
-    /// Slab of extent payloads; `index` entries point into it.
-    arena: Vec<Option<Bytes>>,
-    /// Vacated arena slots available for reuse.
-    free: Vec<u32>,
-    /// Last lookup's partition point — the sequential-access fast path.
-    cursor: Cell<usize>,
+    /// Sorted, non-empty runs of `(start offset, payload)`; concatenated
+    /// they are globally sorted by start and non-overlapping.
+    chunks: Vec<Vec<(u64, Bytes)>>,
+    /// `firsts[c]` is the start of `chunks[c][0]`.
+    firsts: Vec<u64>,
+    /// Last operation's partition point as `(chunk, index)` — the
+    /// sequential-access fast path. Always in the canonical form that
+    /// [`ExtentTree::lower_bound`] returns.
+    cursor: Cell<(usize, usize)>,
 }
 
 impl PartialEq for ExtentTree {
     fn eq(&self, other: &Self) -> bool {
-        self.index.len() == other.index.len()
-            && self
-                .index
-                .iter()
-                .zip(other.index.iter())
-                .all(|(&(s, a), &(t, b))| {
-                    s == t && self.arena[a as usize] == other.arena[b as usize]
-                })
+        self.chunks
+            .iter()
+            .flatten()
+            .eq(other.chunks.iter().flatten())
     }
 }
 impl Eq for ExtentTree {}
+
+/// The part of extent `(s, e)` lying at or after `end`, if any.
+fn suffix_from(s: u64, e: &Bytes, end: u64) -> Option<Bytes> {
+    let e_end = s + e.len() as u64;
+    (e_end > end).then(|| e.slice((end - s) as usize, (e_end - end) as usize))
+}
 
 impl ExtentTree {
     /// An empty tree.
@@ -67,52 +76,70 @@ impl ExtentTree {
 
     /// Number of extents currently held (diagnostics).
     pub fn extent_count(&self) -> usize {
-        self.index.len()
+        self.chunks.iter().map(Vec::len).sum()
     }
 
-    /// Payload of the index entry at `pos`.
-    #[inline]
-    fn payload(&self, pos: usize) -> &Bytes {
-        self.arena[self.index[pos].1 as usize]
-            .as_ref()
-            .expect("indexed slot is live")
-    }
-
-    /// Store `b` in a vacant arena slot and return the slot number.
-    fn alloc(&mut self, b: Bytes) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.arena[slot as usize] = Some(b);
-                slot
-            }
-            None => {
-                self.arena.push(Some(b));
-                (self.arena.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Partition point of `offset` in the index: the position of the
-    /// first entry with `start >= offset`. Tries the cursor (and the slot
-    /// right after it, the sequential-advance case) before falling back
-    /// to a binary search; either way the result is the exact partition
-    /// point, so the cursor never changes behavior, only cost.
-    fn lower_bound(&self, offset: u64) -> usize {
-        let n = self.index.len();
-        let at = |p: usize| -> bool {
-            (p == 0 || self.index[p - 1].0 < offset) && (p == n || self.index[p].0 >= offset)
+    /// Whether `(c, i)` is the canonical partition point of `offset`:
+    /// every entry before it starts below `offset`, every entry from it
+    /// on starts at or above. Canonical means the entry just before the
+    /// point (if any) sits in chunk `c` itself, so `i == 0` only in
+    /// chunk 0.
+    fn is_bound(&self, (c, i): (usize, usize), offset: u64) -> bool {
+        let Some(chunk) = self.chunks.get(c) else {
+            return c == 0 && i == 0;
         };
-        let c = self.cursor.get().min(n);
-        if at(c) {
-            stally::add_extent_lookup(true);
-            return c;
+        if i > chunk.len() {
+            return false;
         }
-        if c < n && at(c + 1) {
+        let before = match i {
+            0 => c == 0,
+            _ => chunk[i - 1].0 < offset,
+        };
+        let after = match chunk.get(i) {
+            Some(e) => e.0 >= offset,
+            None => self.firsts.get(c + 1).is_none_or(|&f| f >= offset),
+        };
+        before && after
+    }
+
+    /// The canonical position one entry past `(c, i)`, if there is one.
+    fn step(&self, (c, i): (usize, usize)) -> Option<(usize, usize)> {
+        let chunk = self.chunks.get(c)?;
+        if i < chunk.len() {
+            Some((c, i + 1))
+        } else if c + 1 < self.chunks.len() {
+            Some((c + 1, 1))
+        } else {
+            None
+        }
+    }
+
+    /// Partition point of `offset`: the position of the first entry with
+    /// `start >= offset`, as `(chunk, index)` with the entry before it
+    /// (if any) in the same chunk. Tries the cursor (and the position one
+    /// entry past it, the sequential-advance case) before falling back to
+    /// the two binary searches; either way the result is the exact
+    /// partition point, so the cursor never changes behavior, only cost.
+    fn lower_bound(&self, offset: u64) -> (usize, usize) {
+        let cur = self.cursor.get();
+        if self.is_bound(cur, offset) {
             stally::add_extent_lookup(true);
-            return c + 1;
+            return cur;
+        }
+        if let Some(next) = self.step(cur).filter(|&p| self.is_bound(p, offset)) {
+            stally::add_extent_lookup(true);
+            return next;
         }
         stally::add_extent_lookup(false);
-        self.index.partition_point(|&(s, _)| s < offset)
+        let c = self
+            .firsts
+            .partition_point(|&f| f < offset)
+            .saturating_sub(1);
+        let i = self
+            .chunks
+            .get(c)
+            .map_or(0, |chunk| chunk.partition_point(|e| e.0 < offset));
+        (c, i)
     }
 
     /// Store `data` at `offset`, adopting the buffer without copying.
@@ -122,51 +149,95 @@ impl ExtentTree {
         if data.is_empty() {
             return;
         }
-        let end = offset + data.len() as u64;
-        let p = self.lower_bound(offset);
+        let end = offset
+            .checked_add(data.len() as u64)
+            .expect("extent end past the 64-bit file range");
+        let (c, i) = self.lower_bound(offset);
+        if self.chunks.is_empty() {
+            self.chunks.push(Vec::new());
+            self.firsts.push(offset);
+        }
         // An older extent overhanging the new range from the left is
         // split: its prefix survives (trimmed in place, same start key),
         // and — if it outlives the new range on the right too — so does
-        // its suffix, re-keyed at `end`.
+        // its suffix, re-keyed at `end`. The canonical partition point
+        // keeps that extent in chunk `c`.
+        let chunk = &mut self.chunks[c];
         let mut right_suffix: Option<Bytes> = None;
-        if p > 0 {
-            let (s, slot) = self.index[p - 1];
-            let e = self.arena[slot as usize].as_ref().expect("live slot");
-            let e_end = s + e.len() as u64;
-            if e_end > offset {
-                let prefix = e.slice(0, (offset - s) as usize);
-                if e_end > end {
-                    right_suffix = Some(e.slice((end - s) as usize, (e_end - end) as usize));
-                }
-                self.arena[slot as usize] = Some(prefix);
+        if i > 0 {
+            let (s, e) = &mut chunk[i - 1];
+            if *s + e.len() as u64 > offset {
+                right_suffix = suffix_from(*s, e, end);
+                *e = e.slice(0, (offset - *s) as usize);
             }
         }
-        // Entries starting inside the new range lose their overlapped
-        // prefix; a suffix outliving the range is re-keyed at `end`.
-        // (A left overhang past `end` covers all of `[offset, end)`, so
-        // the two suffix sources are mutually exclusive by the
-        // non-overlap invariant.)
-        let mut q = p;
-        while q < self.index.len() && self.index[q].0 < end {
-            let (s, slot) = self.index[q];
-            let e = self.arena[slot as usize].take().expect("live slot");
-            self.free.push(slot);
-            let e_end = s + e.len() as u64;
-            if e_end > end {
+        // Entries starting inside the new range are dropped; only the
+        // last of them can outlive the range (non-overlap), and its
+        // suffix is re-keyed at `end`. A left overhang past `end` covers
+        // all of `[offset, end)`, so the two suffix sources are mutually
+        // exclusive.
+        let mut j = i;
+        while j < chunk.len() && chunk[j].0 < end {
+            j += 1;
+        }
+        if j > i {
+            let (s, e) = &chunk[j - 1];
+            if let Some(sfx) = suffix_from(*s, e, end) {
                 debug_assert!(right_suffix.is_none(), "non-overlap invariant");
-                right_suffix = Some(e.slice((end - s) as usize, (e_end - end) as usize));
+                right_suffix = Some(sfx);
             }
-            q += 1;
         }
-        // Splice the removed span `[p, q)` into the new entry (plus the
-        // surviving suffix): one contiguous memmove of the index tail.
-        let new_slot = self.alloc(data);
-        let suffix_entry = right_suffix.map(|b| (end, self.alloc(b)));
-        let replacement = [(offset, new_slot)].into_iter().chain(suffix_entry);
-        self.index.splice(p..q, replacement);
+        // The covered span may run on into later chunks: whole chunks
+        // are dropped, a partly covered one loses its prefix.
+        if j == chunk.len() {
+            let mut d = c + 1;
+            while d < self.chunks.len() && self.firsts[d] < end {
+                let later = &mut self.chunks[d];
+                let k = later.partition_point(|e| e.0 < end);
+                let (s, e) = &later[k - 1];
+                if let Some(sfx) = suffix_from(*s, e, end) {
+                    debug_assert!(right_suffix.is_none(), "non-overlap invariant");
+                    right_suffix = Some(sfx);
+                }
+                if k < later.len() {
+                    later.drain(..k);
+                    self.firsts[d] = later[0].0;
+                    break;
+                }
+                d += 1;
+            }
+            if d > c + 1 {
+                self.chunks.drain(c + 1..d);
+                self.firsts.drain(c + 1..d);
+            }
+        }
+        // Splice the removed span `[i, j)` of chunk `c` into the new entry
+        // (plus the surviving suffix): a memmove of one chunk's tail.
+        let chunk = &mut self.chunks[c];
+        match right_suffix {
+            // The common case, an insert into a gap (or an append).
+            None if i == j => chunk.insert(i, (offset, data)),
+            suffix => {
+                let suffix_entry = suffix.map(|b| (end, b));
+                chunk.splice(i..j, std::iter::once((offset, data)).chain(suffix_entry));
+            }
+        }
+        self.firsts[c] = chunk[0].0;
         // A sequential writer continues at `end`, whose partition point
         // is right after the entry just written.
-        self.cursor.set(p + 1);
+        let mut cursor = (c, i + 1);
+        if chunk.len() > CHUNK_MAX {
+            let half = chunk.len() / 2;
+            let tail = chunk.split_off(half);
+            self.firsts.insert(c + 1, tail[0].0);
+            self.chunks.insert(c + 1, tail);
+            if i >= half {
+                cursor = (c + 1, i + 1 - half);
+            }
+        }
+        self.cursor.set(cursor);
+        #[cfg(test)]
+        self.check_invariants();
     }
 
     /// Store a rope at `offset`: each segment becomes (or trims into)
@@ -183,43 +254,79 @@ impl ExtentTree {
     /// Assemble `[offset, offset + len)` as a rope of shared views,
     /// zero-filling any holes. Never copies stored bytes.
     pub fn read(&self, offset: u64, len: u64) -> BytesList {
-        let end = offset + len;
+        let end = offset
+            .checked_add(len)
+            .expect("read end past the 64-bit file range");
         let mut out = BytesList::new();
         if len == 0 {
             return out;
         }
-        let p = self.lower_bound(offset);
+        let (mut c, mut i) = self.lower_bound(offset);
         let mut cursor = offset;
         // An extent straddling `offset` from the left contributes first.
-        if p > 0 {
-            let (s, _) = self.index[p - 1];
-            let e = self.payload(p - 1);
-            let e_end = s + e.len() as u64;
+        if i > 0 {
+            let (s, e) = &self.chunks[c][i - 1];
+            let e_end = *s + e.len() as u64;
             if e_end > offset {
                 let take = e_end.min(end) - offset;
-                out.push(e.slice((offset - s) as usize, take as usize));
+                out.push(e.slice((offset - *s) as usize, take as usize));
                 cursor += take;
             }
         }
-        let mut q = p;
-        while q < self.index.len() && self.index[q].0 < end {
-            let (s, _) = self.index[q];
-            let e = self.payload(q);
-            if s > cursor {
-                out.append(zeros(s - cursor));
+        while let Some(chunk) = self.chunks.get(c) {
+            let Some((s, e)) = chunk.get(i) else {
+                // Step into the next chunk only if it starts in range, so
+                // the scan stops at a canonical partition point.
+                match self.firsts.get(c + 1) {
+                    Some(&f) if f < end => (c, i) = (c + 1, 0),
+                    _ => break,
+                }
+                continue;
+            };
+            if *s >= end {
+                break;
             }
-            let take = (s + e.len() as u64).min(end) - s;
+            if *s > cursor {
+                out.append(zeros(*s - cursor));
+            }
+            let take = (*s + e.len() as u64).min(end) - *s;
             out.push(e.slice(0, take as usize));
-            cursor = s + take;
-            q += 1;
+            cursor = *s + take;
+            i += 1;
         }
         if cursor < end {
             out.append(zeros(end - cursor));
         }
         // A sequential reader continues at `end`, whose partition point
         // is the scan's stopping position.
-        self.cursor.set(q);
+        self.cursor.set((c, i));
         out
+    }
+
+    /// Panic unless the layout invariants hold: every chunk non-empty and
+    /// at most [`CHUNK_MAX`] long, `firsts` naming each chunk's first
+    /// start, and extents globally sorted, non-empty and non-overlapping.
+    /// O(n); for tests and oracles (unit tests run it after every write).
+    pub fn check_invariants(&self) {
+        assert_eq!(self.chunks.len(), self.firsts.len(), "one first per chunk");
+        let mut prev_end = 0u64;
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            assert!(!chunk.is_empty(), "chunk {c} is empty");
+            assert!(
+                chunk.len() <= CHUNK_MAX,
+                "chunk {c} holds {} entries",
+                chunk.len()
+            );
+            assert_eq!(self.firsts[c], chunk[0].0, "firsts[{c}] is stale");
+            for (s, e) in chunk {
+                assert!(!e.is_empty(), "empty extent at {s}");
+                assert!(
+                    *s >= prev_end,
+                    "extent at {s} overlaps or precedes one ending at {prev_end}"
+                );
+                prev_end = s + e.len() as u64;
+            }
+        }
     }
 }
 
@@ -313,9 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_arena_layout() {
+    fn equality_ignores_chunk_layout() {
         // Same logical contents reached through different write orders
-        // (hence different slot assignments and cursor positions).
+        // (hence different cursor positions).
         let mut a = ExtentTree::new();
         a.write(0, bytes(vec![1; 8]));
         a.write(8, bytes(vec![2; 8]));
@@ -325,6 +432,32 @@ mod tests {
         assert_eq!(a, b);
         b.write(4, bytes(vec![3; 2]));
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn chunks_split_past_the_cap_and_drop_when_covered() {
+        let n = 4 * CHUNK_MAX as u64;
+        let mut t = ExtentTree::new();
+        // Two interleaved strided writers: every second write lands
+        // mid-chunk, so splits happen away from the tail too.
+        for i in (0..n).step_by(2).chain((1..n).step_by(2)) {
+            t.write(i * 8, bytes(vec![i as u8; 8]));
+        }
+        assert_eq!(t.extent_count(), n as usize);
+        assert!(t.chunks.len() >= 4, "{} chunks", t.chunks.len());
+        // Overwrite from inside the first extent to inside the third
+        // last: whole chunks in between are dropped, the last chunk loses
+        // a prefix, and the straddled extent's suffix is re-keyed.
+        let (span, end) = (n * 8, n * 8 - 20);
+        t.write(4, bytes(vec![0xee; (end - 4) as usize]));
+        assert_eq!(t.chunks.len(), 2);
+        let got = t.read(0, span).to_vec();
+        let mut want = vec![0xee; span as usize];
+        want[..4].fill(0);
+        want[end as usize..(span - 16) as usize].fill((n - 3) as u8);
+        want[(span - 16) as usize..(span - 8) as usize].fill((n - 2) as u8);
+        want[(span - 8) as usize..].fill((n - 1) as u8);
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -251,6 +251,18 @@ pub fn parse_darshan(text: &str) -> Result<DarshanSummary, ParseError> {
                     .iter_mut()
                     .find(|f| f.name == fields[1])
                     .ok_or_else(|| err(line, format!("'{kw}' before 'file {}'", fields[1])))?;
+                // Every expanded op ends within the file's total bytes, so
+                // a total that fits in u64 keeps every op's range in it.
+                if size
+                    .checked_mul(count)
+                    .and_then(|b| b.checked_add(f.total_bytes()))
+                    .is_none()
+                {
+                    return Err(err(
+                        line,
+                        format!("'{}' totals more bytes than the 64-bit file range", f.name),
+                    ));
+                }
                 let bin = SizeBin { size, count };
                 if kw == "rhist" {
                     f.reads.push(bin);

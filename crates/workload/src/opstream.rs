@@ -91,6 +91,18 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
+/// Reject a data op whose byte range `[offset, offset + len)` does not fit
+/// in the 64-bit file space.
+fn check_range(line: usize, offset: u64, len: u64) -> Result<(), ParseError> {
+    match offset.checked_add(len) {
+        Some(_) => Ok(()),
+        None => Err(err(
+            line,
+            format!("offset {offset} + length {len} overflows the 64-bit file range"),
+        )),
+    }
+}
+
 /// What one extended operation does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkKind {
@@ -318,6 +330,7 @@ pub fn parse_legacy(text: &str) -> Result<Vec<TraceOp>, ParseError> {
         if len == 0 {
             return Err(err(line, "zero-length operation"));
         }
+        check_range(line, offset, len)?;
         ops.push(TraceOp {
             rank,
             kind,
@@ -444,10 +457,9 @@ pub fn parse_opstream(text: &str) -> Result<OpStream, ParseError> {
                 if len == 0 {
                     return Err(err(line, "zero-length operation"));
                 }
-                WorkKind::Read {
-                    offset: num(fields[3], "offset")?,
-                    len,
-                }
+                let offset = num(fields[3], "offset")?;
+                check_range(line, offset, len)?;
+                WorkKind::Read { offset, len }
             }
             "write" | "w" => {
                 need(5)?;
@@ -455,10 +467,9 @@ pub fn parse_opstream(text: &str) -> Result<OpStream, ParseError> {
                 if len == 0 {
                     return Err(err(line, "zero-length operation"));
                 }
-                WorkKind::Write {
-                    offset: num(fields[3], "offset")?,
-                    len,
-                }
+                let offset = num(fields[3], "offset")?;
+                check_range(line, offset, len)?;
+                WorkKind::Write { offset, len }
             }
             other => {
                 return Err(err(
@@ -737,6 +748,32 @@ mod tests {
         assert_eq!(s.extents(), vec![10]);
         assert_eq!(s.to_legacy().unwrap(), ops);
         assert!(!s.has_deps());
+    }
+
+    #[test]
+    fn ranges_past_the_u64_file_space_are_rejected() {
+        let top = u64::MAX - 15;
+        for (text, line) in [
+            (format!("0 w 0 16\n0 w {top} 4096\n"), 2),
+            (format!("0 r {top} 15\n"), 0),
+            (format!("0 open f\n0 write f {top} 4096\n"), 2),
+            (format!("0 open f\n\n0 read f {top} 17\n"), 3),
+            (
+                "#iosim darshan v1\nfile f 2 0.5\nwhist f 4096 2\nrhist f 9223372036854775807 2\n"
+                    .to_string(),
+                4,
+            ),
+        ] {
+            match parse_any(&text, 1) {
+                Err(e) if line > 0 => {
+                    assert_eq!(e.line, line, "{text:?}: {e}");
+                    assert!(e.message.contains("64-bit file range"), "{e}");
+                }
+                Err(e) => panic!("{text:?} fits exactly yet failed: {e}"),
+                Ok(_) if line > 0 => panic!("{text:?} parsed"),
+                Ok(s) => assert_eq!(s.extents(), vec![u64::MAX]),
+            }
+        }
     }
 
     #[test]

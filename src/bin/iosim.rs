@@ -661,7 +661,8 @@ fn usage() {
          \x20      --read-frac F --op-kb N --fragments N --files N --file-mb N --seed N\n\
          \x20      [--mode direct|list|twophase] [--batch N] [--cache MB] [--queue-depth N] [--threads N]\n\
          replay/synth --threads N: host threads for the sharded engine (default: $IOSIM_THREADS, else 1);\n\
-         \x20      virtual times and fingerprints are identical at any thread count\n\
+         \x20      virtual times and fingerprints are identical at any sharded thread count,\n\
+         \x20      but differ from the default monolithic engine (it models a different machine)\n\
          sweep: --workload scf11|scf30|fft|btio|ast|synth + comma-list knobs\n\
          \x20      --cache A,B --queue-depth A,B --agg A,B --interface fortran,unix,passion\n\
          \x20      --stripe-kb A,B --io-nodes A,B --threads-hint A,B\n\

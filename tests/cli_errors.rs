@@ -113,6 +113,11 @@ fn bad_replay_inputs_exit_2() {
         .collect();
     let wide = TempTrace::new("wide.trace", &wide);
     let bad_line = TempTrace::new("bad.trace", "0 w 0 512\n0 x 0 512\n");
+    // `offset + bytes` past the 64-bit file space must not wrap.
+    let wrap = TempTrace::new(
+        "wrap.trace",
+        "0 w 18446744073709551600 4096\n0 r 18446744073709551600 4096\n",
+    );
     let sample = format!(
         "{}/tests/data/sample_opstream.trace",
         env!("CARGO_MANIFEST_DIR")
@@ -122,6 +127,10 @@ fn bad_replay_inputs_exit_2() {
         (
             vec!["replay", "--trace", bad_line.0.to_str().unwrap()],
             "trace line 2",
+        ),
+        (
+            vec!["replay", "--trace", wrap.0.to_str().unwrap()],
+            "trace line 1",
         ),
         (vec!["replay"], "--trace"),
         (

@@ -22,6 +22,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "== workspace tests =="
 cargo test -q --offline --workspace
 
+echo "== extent oracles under --release =="
+# The stored-file extent index does usize/u64 position arithmetic that
+# panics on overflow in debug builds but wraps silently in release
+# builds, which is what users run: replay its unit tests, the file-system
+# oracle and the structure property tests under the release profile.
+cargo test -q --release --offline -p iosim-pfs
+cargo test -q --release --offline --test fs_oracle
+cargo test -q --release --offline -p iosim-bench --test struct_props
+
 echo "== perfbench tests (pins over the run harness and replay APIs) =="
 # perfbench/ is its own workspace and imports the run harness, the
 # report type and the replay entry points by path; its tests pin the
